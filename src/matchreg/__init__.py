@@ -2,11 +2,14 @@
 
 The pipeline: an edge-feature network with Match Normalization produces
 per-point descriptors for the full model cloud and the observed partial
-cloud; descriptor inner products form a score map that a log-domain
-Sinkhorn layer with outlier bins turns into a soft assignment; hard matches
-feed a weighted Kabsch solve, optionally refined by ICP. Training minimizes
-the negative log-likelihood of the assignment at ground-truth
-correspondences, end to end through the unrolled Sinkhorn iterations.
+cloud; descriptor inner products form a score map that a Sinkhorn layer
+with outlier bins turns into a soft assignment; hard matches feed a weighted
+Kabsch solve, optionally refined by ICP. The Sinkhorn layer iterates in the
+scaling domain (matrix-vector products on exp(scores / lambda)); a guard
+falls back to log-domain iterations when exp would under- or overflow.
+Training minimizes the negative log-likelihood of the assignment at
+ground-truth correspondences, end to end through the unrolled Sinkhorn
+iterations.
 """
 
 from .errors import MatchregError

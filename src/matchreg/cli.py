@@ -215,7 +215,10 @@ def cmd_train(args) -> int:
     if args.log:
         log.write_jsonl(args.log)
     final = [r["loss"] for r in log.records if r["loss"] is not None]
-    print(f"trained {cfg.iterations} iterations; final loss {final[-1]:.6f}")
+    if final:
+        print(f"trained {cfg.iterations} iterations; final loss {final[-1]:.6f}")
+    else:
+        print(f"ran {cfg.iterations} iterations; no batch was trained (every sample skipped)")
     print(f"model written to {args.out_model}")
     return 0
 

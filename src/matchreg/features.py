@@ -209,11 +209,6 @@ def _mn_backward_pair(g, out, a, beta, floored, argmax_flat):
     return da
 
 
-def _mn_backward_other(g, beta):
-    """Gradient for the cloud normalized with a scale it does not own."""
-    return (g - g.mean(axis=1, keepdims=True)) / beta
-
-
 # ---------------------------------------------------------------------------
 # Batch normalization
 # ---------------------------------------------------------------------------
@@ -501,23 +496,6 @@ def extract_features_backward(
 
     grads.reverse()
     return grads, gx.T.copy(), gy.T.copy()
-
-
-def committed_running_stats(params: NetParams, cache: ForwardCache) -> NetParams:
-    """New parameter snapshot with the cache's running statistics applied."""
-    layers = []
-    for lp, lc in zip(params.layers, cache.layers):
-        layers.append(
-            LayerParams(
-                weight=lp.weight,
-                bias=lp.bias,
-                bn_gamma=lp.bn_gamma,
-                bn_beta=lp.bn_beta,
-                bn_running_mean=lc.new_running_mean,
-                bn_running_var=lc.new_running_var,
-            )
-        )
-    return NetParams(layers=tuple(layers), knn_k=params.knn_k)
 
 
 # ---------------------------------------------------------------------------

@@ -204,11 +204,3 @@ def svd_gradient_probe(sigma_gap: float) -> float:
             jv = (vp - vm) / (2 * step)
             peak = max(peak, float(np.abs(ju).max()), float(np.abs(jv).max()))
     return peak
-
-
-def kabsch_rotation_from_covariance(h: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Rotation of the rigid least-squares solve for a given cross-covariance."""
-    u, _, vt = np.linalg.svd(np.asarray(h, dtype=np.float64))
-    v = vt.T
-    d = 1.0 if np.linalg.det(v @ u.T) > 0 else -1.0
-    return v @ np.diag([1.0, 1.0, d]) @ u.T

@@ -65,6 +65,16 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        if not self.lam > 0:
+            raise ValueError(f"lam must be positive, got {self.lam}")
+        if self.sinkhorn_iters < 1:
+            raise ValueError("sinkhorn_iters must be >= 1")
+        if self.eval_sinkhorn_iters < 1:
+            raise ValueError("eval_sinkhorn_iters must be >= 1")
+        if not 0.0 < self.tau < 1.0:
+            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
 
 
 @dataclass
@@ -175,6 +185,7 @@ def evaluate_dataset(
     if not samples:
         raise EmptyInput("no samples to evaluate")
     records = []
+    previous_source, diameter = None, 0.0
     for s in samples:
         if oracle:
             pose, matches, icp_iters, converged = s.gt_pose, (), 0, True
@@ -182,7 +193,8 @@ def evaluate_dataset(
             result = register(params, s.source, s.target, opts)
             pose, matches = result.pose, result.matches
             icp_iters, converged = result.icp_iterations_used, result.converged
-        diameter = model_diameter(s.source)
+        if not np.array_equal(s.source, previous_source):
+            previous_source, diameter = s.source, model_diameter(s.source)
         add_mean, add_pass = add_score(s.source, pose, s.gt_pose, diameter)
         records.append(
             {

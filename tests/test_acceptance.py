@@ -192,6 +192,7 @@ FULL_ROTATION_SYNTH = SynthConfig(
 )
 
 
+@pytest.mark.slow
 def test_criterion_06_full_rotation_trainability():
     t0 = time.time()
     data = generate_dataset(FULL_ROTATION_SYNTH, 1000)
@@ -237,6 +238,7 @@ ABLATION_SYNTH = SynthConfig(
 )
 
 
+@pytest.mark.slow
 def test_criterion_07_match_normalization_ablation():
     t0 = time.time()
     data = generate_dataset(ABLATION_SYNTH, 800)

@@ -106,6 +106,42 @@ def test_train_smoke_and_log_header(tmp_path, tiny_dataset):
     assert header["normalization"] == "per_instance_norm"
 
 
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--iterations", "0", "iterations"),
+        ("--lam", "0", "lam"),
+        ("--sinkhorn-iters", "0", "sinkhorn_iters"),
+        ("--eval-sinkhorn-iters", "0", "eval_sinkhorn_iters"),
+        ("--tau", "1.5", "tau"),
+    ],
+)
+def test_train_bad_config_exits_2_before_loading_data(tmp_path, capsys, flag, value, key):
+    # the dataset does not exist: only an up-front check can report the config
+    code = run([
+        "train", "--data", str(tmp_path / "nope"), "--out-model", str(tmp_path / "m.json"),
+        flag, value,
+    ])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+def test_train_with_every_batch_skipped(tmp_path, capsys, tiny_dataset, monkeypatch):
+    from matchreg import training
+    from matchreg.errors import EmptyGroundTruth
+
+    def no_ground_truth(*args, **kwargs):
+        raise EmptyGroundTruth("ground-truth matrix has no entries")
+
+    monkeypatch.setattr(training, "end_to_end_gradient", no_ground_truth)
+    code = run([
+        "train", "--data", tiny_dataset, "--out-model", str(tmp_path / "m.json"),
+        "--iterations", "2", "--batch-size", "2", "--widths", "6,6", "--knn-k", "3",
+    ])
+    assert code == 0
+    assert "no batch was trained" in capsys.readouterr().out
+
+
 def test_train_missing_dataset(tmp_path, capsys):
     code = run([
         "train", "--data", str(tmp_path / "nope"), "--out-model", str(tmp_path / "m.json"),

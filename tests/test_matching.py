@@ -1,12 +1,15 @@
 """Score map, Sinkhorn solver, and match extraction tests."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from matchreg import matching
 from matchreg.errors import ChannelMismatch, NonPositiveLambda
 from matchreg.matching import (
+    _log_sinkhorn,
     augment_scores,
     extract_matches,
     score_map,
@@ -196,6 +199,88 @@ def test_sinkhorn_backward_matches_fd():
         sm.flat[fi] -= h
         fd.flat[fi] = (loss(sp) - loss(sm)) / (2 * h)
     np.testing.assert_allclose(d_aug[:5, :4], fd, rtol=1e-6, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Scaling domain against the log-domain loop
+# ---------------------------------------------------------------------------
+
+def assert_agrees_with_log_domain(aug, lam, iters, rng, grad_scale=1.0):
+    """Forward within 1e-12 absolute (1e-14 relative on the outlier-bin
+    entries, which hold up to min(M, N) mass and where the log-domain
+    exponent itself rounds at about 1e-14 relative); backward to 1e-10 of
+    its largest entry."""
+    p, cache = sinkhorn_log(aug, lam, iters, return_cache=True)
+    ref = _log_sinkhorn(aug, lam, iters)
+    np.testing.assert_allclose(p, ref.assignment, rtol=1e-14, atol=1e-12)
+    w = rng.standard_normal(aug.shape) * grad_scale
+    dz = sinkhorn_backward(cache, w)
+    dz_ref = sinkhorn_backward(ref, w)
+    assert np.abs(dz - dz_ref).max() <= 1e-10 * np.abs(dz_ref).max()
+    return cache
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.2, 0.01])
+@pytest.mark.parametrize("shape", [(5, 4), (129, 113), (1025, 769)])
+def test_sinkhorn_scaling_domain_agrees_with_log_domain(shape, lam):
+    rng = np.random.default_rng(10)
+    aug = augment_scores(rng.standard_normal(shape), alpha=1.0)
+    cache = assert_agrees_with_log_domain(aug, lam, 50, rng)
+    assert cache.scaled
+
+
+def test_sinkhorn_guard_edges_agree_with_log_domain():
+    # bisect the score scale to where the guard trips; the last input that
+    # stays in the scaling domain and the first that falls back both agree,
+    # with gradients as large as the guard's headroom allows
+    rng = np.random.default_rng(11)
+    aug = augment_scores(rng.standard_normal((6, 5)), alpha=1.0)
+
+    def scaled(c):
+        return sinkhorn_log(aug * c, 0.01, 50, return_cache=True)[1].scaled
+
+    inside, outside = 1.0, 100.0
+    assert scaled(inside) and not scaled(outside)
+    while outside - inside > 1e-9 * outside:
+        mid = 0.5 * (inside + outside)
+        if scaled(mid):
+            inside = mid
+        else:
+            outside = mid
+    assert assert_agrees_with_log_domain(aug * inside, 0.01, 50, rng, 1e90).scaled
+    assert not assert_agrees_with_log_domain(aug * outside, 0.01, 50, rng, 1e90).scaled
+
+
+def test_sinkhorn_extreme_scores_fall_back_without_warnings():
+    rng = np.random.default_rng(4)
+    aug = augment_scores(rng.uniform(-1e3, 1e3, (6, 5)), alpha=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, cache = sinkhorn_log(aug, lam=1e-2, iters=100, return_cache=True)
+        d_aug = sinkhorn_backward(cache, rng.standard_normal(aug.shape))
+    assert not cache.scaled
+    ref = _log_sinkhorn(aug, 1e-2, 100)
+    np.testing.assert_array_equal(p, ref.assignment)
+    assert np.all(np.isfinite(d_aug))
+
+
+@pytest.mark.parametrize("branch", ["scaling", "log"])
+def test_criterion_03_gradients_on_both_branches(branch, monkeypatch):
+    from test_acceptance import test_criterion_03_gradient_soundness
+
+    if branch == "log":
+        monkeypatch.setattr(matching, "_SCALING_LIMIT", 0.0)
+    ran = []
+    scaling = matching._scaling_sinkhorn
+
+    def spy(*args):
+        cache = scaling(*args)
+        ran.append(cache is not None)
+        return cache
+
+    monkeypatch.setattr(matching, "_scaling_sinkhorn", spy)
+    test_criterion_03_gradient_soundness()
+    assert set(ran) == {branch == "scaling"}
 
 
 # ---------------------------------------------------------------------------

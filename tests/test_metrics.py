@@ -82,6 +82,17 @@ def test_add_translation_offset_fails():
     assert not passed
 
 
+def test_model_diameter_blocks_equal_one_shot(monkeypatch):
+    from matchreg import metrics
+
+    rng = np.random.default_rng(12)
+    for m, block_pairs in ((1000, metrics.DIAMETER_BLOCK_PAIRS), (50, 7), (1, 7)):
+        model = rng.standard_normal((m, 3))
+        one_shot = float(np.linalg.norm(model[:, None, :] - model[None, :, :], axis=2).max())
+        monkeypatch.setattr(metrics, "DIAMETER_BLOCK_PAIRS", block_pairs)
+        assert model_diameter(model) == one_shot
+
+
 def test_add_matches_naive_loop_oracle():
     for seed in range(50):
         rng = np.random.default_rng(seed)

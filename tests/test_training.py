@@ -159,3 +159,31 @@ def test_evaluate_dataset_oracle_mode_is_perfect():
     assert all(v == 1.0 for v in report.rotation_map.values())
     assert all(v == 1.0 for v in report.translation_map.values())
     assert report.add_rate == 1.0
+
+
+def test_evaluate_dataset_reuses_diameter_of_a_repeated_source(monkeypatch):
+    from matchreg import training
+
+    data = generate_dataset(EASY_SYNTH, 2)
+    repeated = [data[0], data[0], data[1], data[1], data[0]]
+    calls = []
+    diameter = training.model_diameter
+
+    def counting(points):
+        calls.append(len(points))
+        return diameter(points)
+
+    monkeypatch.setattr(training, "model_diameter", counting)
+    report = evaluate_dataset(small_params(), repeated, eval_options(quick_cfg()))
+    assert len(calls) == 3
+    assert len(report.per_sample) == 5
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("iterations", 0), ("lam", 0.0), ("lam", float("nan")), ("sinkhorn_iters", 0),
+     ("eval_sinkhorn_iters", 0), ("tau", 0.0), ("tau", 1.0)],
+)
+def test_train_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        quick_cfg(**{field: value})
