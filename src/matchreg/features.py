@@ -26,6 +26,7 @@ from typing import Literal, Sequence, TypeAlias
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.spatial import cKDTree
 
 from .errors import ChannelMismatch, EmptyBatch, ShapeMismatch, TooFewPoints
 from .geometry import Points, as_points
@@ -148,20 +149,54 @@ def init_net_params(
 # k-nearest neighbors
 # ---------------------------------------------------------------------------
 
+# Candidates beyond k + 1 asked of the tree in the first query.
+KNN_QUERY_PAD = 4
+# Relative gap between the k-th distance and the tree's last candidate that
+# covers the rounding difference between the tree's distances and ours.
+KNN_SETTLE_MARGIN = 1e-9
+
+
 def knn_indices(pc: Points, k: int) -> NDArray[np.int64]:
     """Row i holds the k nearest neighbors of point i, self excluded.
 
-    Brute force with a stable sort so distance ties resolve to the lower
-    index; exact at the desk scales this library targets.
+    Neighbors are ordered by the squared distance
+    ``np.sum((p_i - p_j) ** 2)``, ties going to the lower index; duplicate
+    points are neighbors at distance 0. A k-d tree proposes
+    k + 1 + ``KNN_QUERY_PAD`` candidates per point, whose squared distances
+    are recomputed with that expression and sorted by (distance, index). A
+    row is final when its k-th distance lies below the tree's last
+    candidate distance by ``KNN_SETTLE_MARGIN``, so no point left out can
+    rank before it; other rows are queried again with twice as many
+    candidates, up to all m points. The result equals a brute-force sort of
+    the full distance matrix in O(M log M) time and O(M k) memory.
+    A cloud whose bounding-box diagonal squared overflows raises
+    ``ValueError``.
     """
     pts = as_points(pc)
     m = pts.shape[0]
     if k >= m:
         raise TooFewPoints(f"k={k} requires more than k points, got {m}")
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k].astype(np.int64)
+    # the tree reports a neighbor at infinite distance as no neighbor at all
+    with np.errstate(over="ignore"):
+        extent = np.sum(np.ptp(pts, axis=0) ** 2)
+    if not np.isfinite(extent):
+        raise ValueError("point cloud extent too large: squared distances overflow")
+    tree = cKDTree(pts)
+    out = np.empty((m, k), dtype=np.int64)
+    rows = np.arange(m)
+    q = k + 1 + KNN_QUERY_PAD
+    while rows.size:
+        q = min(q, m)
+        tree_dist, cand = tree.query(pts[rows], q)
+        d2 = np.sum((pts[rows, None, :] - pts[cand]) ** 2, axis=2)
+        d2[cand == rows[:, None]] = np.inf  # the point itself ranks last
+        order = np.lexsort((cand, d2), axis=1)[:, :k]
+        kth = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
+        settled = (q == m) | (kth < tree_dist[:, -1] ** 2 * (1 - KNN_SETTLE_MARGIN))
+        out[rows[settled]] = np.take_along_axis(cand, order, axis=1)[settled]
+        rows = rows[~settled]
+        q *= 2
+    return out
 
 
 # ---------------------------------------------------------------------------

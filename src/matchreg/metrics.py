@@ -18,8 +18,6 @@ from .geometry import Points, Pose, apply_pose, as_points
 
 DEFAULT_ROTATION_THRESHOLDS_DEG = (5.0, 10.0, 20.0)
 DEFAULT_TRANSLATION_THRESHOLDS_M = (0.01, 0.02, 0.05)
-# unitless preset for normalized synthetic data
-UNITLESS_TRANSLATION_THRESHOLDS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5)
 DEFAULT_INLIER_THRESHOLD = 0.02
 ADD_PASS_DIAMETER_FRACTION = 0.1
 
@@ -42,25 +40,30 @@ def translation_error(t_hat, t_gt) -> float:
     return float(np.linalg.norm(np.asarray(t_hat, dtype=np.float64) - np.asarray(t_gt)))
 
 
-def pose_errors(pose_hat: Pose, pose_gt: Pose) -> PoseErrors:
-    return PoseErrors(
-        rotation_deg=rotation_error_deg(pose_hat.rotation, pose_gt.rotation),
-        translation=translation_error(pose_hat.translation, pose_gt.translation),
-    )
-
-
 # Point pairs per block of ``model_diameter``: 65,536 pairs take 1.5 MB of
 # differences, where one (M, M, 3) tensor takes 100 MB at M = 2048.
 DIAMETER_BLOCK_PAIRS = 1 << 16
+# Relative slack on the pruning bound of ``model_diameter``; it covers the
+# rounding of the centroid distances, which is far smaller.
+DIAMETER_PRUNE_MARGIN = 1e-9
 
 
 def model_diameter(model: Points) -> float:
-    """Largest pairwise distance; exact O(M^2) time, O(M) memory.
+    """Largest pairwise distance; exact, O(M) memory.
 
-    Rows are taken in blocks, and each distance is the same per-pair
-    ``norm`` a one-shot (M, M) computation would give.
+    A lower bound D0 is the distance from the point farthest from the
+    centroid c to the point farthest from it. A pair at least D0 apart has
+    both ends p with |p - c| + max|q - c| >= D0, so only those points enter
+    the exact pass. That pass takes rows in blocks, and each distance is the
+    same per-pair ``norm`` a one-shot (M, M) computation over all points
+    would give, so the result is bit-identical to it. Near-linear time on
+    elongated or boxy shapes; on a sphere few points are pruned.
     """
     pts = as_points(model)
+    radius = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+    far = pts[np.argmax(radius)]
+    lower = float(np.linalg.norm(pts - far, axis=1).max())
+    pts = pts[radius + radius.max() >= lower * (1 - DIAMETER_PRUNE_MARGIN)]
     rows = max(1, DIAMETER_BLOCK_PAIRS // len(pts))
     return max(
         float(np.linalg.norm(pts[lo:lo + rows, None, :] - pts[None, :, :], axis=2).max())

@@ -48,12 +48,20 @@ def weighted_kabsch(x: Points, y: Points, matches: list[Match]) -> Pose:
     w = np.array([m.weight for m in matches], dtype=np.float64)
     if np.any(w < 0):
         raise DegenerateMatches("negative match weight")
-    wsum = w.sum()
-    if wsum <= 0:
+    if w.sum() <= 0:
         raise DegenerateMatches("total match weight is zero")
+    return _kabsch(xp[si], yp[ti], w)
 
-    xs = xp[si]
-    ys = yp[ti]
+
+def _kabsch(xs, ys, w) -> Pose:
+    """Weighted Kabsch on paired (K, 3) arrays with non-negative weights.
+
+    Raises ``DegenerateMatches`` for fewer than 3 pairs or collinear
+    sources; ``icp_refine`` calls it directly on its kept pairs.
+    """
+    if len(xs) < 3:
+        raise DegenerateMatches(f"need at least 3 matches, got {len(xs)}")
+    wsum = w.sum()
     x_bar = (w[:, None] * xs).sum(axis=0) / wsum
     y_bar = (w[:, None] * ys).sum(axis=0) / wsum
     xc = xs - x_bar
@@ -106,10 +114,7 @@ def icp_refine(
         tx = apply_pose(pose, xp)
         dists, nn = tree.query(tx)
         keep = dists <= ICP_REJECT_FACTOR * np.median(dists)
-        matches = [
-            Match(int(i), int(nn[i]), 1.0) for i in np.nonzero(keep)[0]
-        ]
-        new_pose = weighted_kabsch(xp, yp, matches)
+        new_pose = _kabsch(xp[keep], yp[nn[keep]], np.ones(int(keep.sum())))
         residuals.append(float(dists[keep].mean()))
         delta_rot = np.arccos(
             np.clip((np.trace(new_pose.rotation @ pose.rotation.T) - 1) / 2, -1, 1)

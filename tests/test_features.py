@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from matchreg import features
 from matchreg.errors import ChannelMismatch, EmptyBatch, ShapeMismatch, TooFewPoints
 from matchreg.features import (
     LayerParams,
@@ -17,6 +18,7 @@ from matchreg.features import (
     save_checkpoint,
 )
 from matchreg.geometry import apply_pose, Pose, random_rotation_uniform
+from matchreg.synth import SynthConfig, generate_pair
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +55,79 @@ def test_knn_matches_brute_force():
 def test_knn_too_few_points():
     with pytest.raises(TooFewPoints):
         knn_indices(np.zeros((3, 3)), 3)
+
+
+def brute_force_knn(pc, k):
+    """The full-matrix kNN: stable sort of every row of squared distances."""
+    pts = np.asarray(pc, dtype=np.float64)
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k].astype(np.int64)
+
+
+def integer_grid(n):
+    """All points of {0, ..., n - 1}^3, full of distance ties."""
+    return np.stack(np.meshgrid(*[np.arange(float(n))] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _knn_clouds():
+    """(name, cloud) pairs: random, tied, duplicated and degenerate clouds."""
+    rng = np.random.default_rng(21)
+    for m in (12, 100, 1024, 2048):
+        yield f"gaussian-{m}", rng.standard_normal((m, 3))
+    grid = integer_grid(8)
+    yield "grid", grid
+    yield "grid-permuted", grid[rng.permutation(len(grid))]
+    tripled = np.repeat(rng.standard_normal((70, 3)), 3, axis=0)
+    yield "tripled", tripled[rng.permutation(len(tripled))]
+    yield "integer", np.round(rng.standard_normal((400, 3)) * 3)
+    yield "collinear", np.outer(rng.permutation(60).astype(float), [0.3, -1.0, 2.0])
+    yield "subnormal-distances", rng.standard_normal((200, 3)) * 1e-160
+    cfg = SynthConfig(m=256, n=200, noise_sigma=0.0, outlier_fraction=0.0, shapes=("box",))
+    target = generate_pair(cfg, np.random.default_rng(3)).target
+    assert len(np.unique(target, axis=0)) < len(target)  # padded by repeats
+    yield "padded-target", target
+
+
+@pytest.mark.parametrize("pc", [pytest.param(pc, id=name) for name, pc in _knn_clouds()])
+def test_knn_equals_brute_force(pc):
+    for k in (1, 3, 10):
+        assert np.array_equal(knn_indices(pc, k), brute_force_knn(pc, k)), k
+
+
+def test_knn_all_other_points():
+    rng = np.random.default_rng(22)
+    grid = integer_grid(3)
+    for pc in (rng.standard_normal((40, 3)), grid[rng.permutation(len(grid))]):
+        k = len(pc) - 1
+        assert np.array_equal(knn_indices(pc, k), brute_force_knn(pc, k))
+
+
+def test_knn_rejects_overflowing_extent():
+    pc = np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [-1e200, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="overflow"):
+        knn_indices(pc, 1)
+
+
+def test_knn_tie_across_slot_k_is_queried_again(monkeypatch):
+    # The centre of a 3x3x3 grid has 6 neighbors at squared distance 1 and
+    # 12 at 2, so slots 7 to 18 tie and slot k = 10 falls inside the tie.
+    # The first query ends inside that tie, so the row must be re-queried.
+    rng = np.random.default_rng(23)
+    grid = integer_grid(3)
+    pc = grid[rng.permutation(len(grid))]
+    queried = []
+
+    class RecordingTree(features.cKDTree):
+        def query(self, x, k, *args, **kwargs):
+            queried.append((len(x), k))
+            return super().query(x, k, *args, **kwargs)
+
+    monkeypatch.setattr(features, "cKDTree", RecordingTree)
+    assert np.array_equal(knn_indices(pc, 10), brute_force_knn(pc, 10))
+    first_q = 10 + 1 + features.KNN_QUERY_PAD
+    assert queried[0] == (len(pc), first_q)
+    assert len(queried) > 1 and queried[1][1] > first_q
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from matchreg.errors import EmptyInput
-from matchreg.geometry import Pose, apply_pose, random_rotation_uniform, rotation_about_axis
+from matchreg.geometry import (
+    Pose,
+    apply_pose,
+    random_rotation_uniform,
+    rotation_about_axis,
+    sample_mesh_surface,
+)
 from matchreg.matching import Match
 from matchreg.metrics import (
+    DIAMETER_BLOCK_PAIRS,
     PoseErrors,
     add_score,
     count_true_inliers,
@@ -15,6 +22,7 @@ from matchreg.metrics import (
     rotation_error_deg,
     translation_error,
 )
+from matchreg.synth import SHAPE_KINDS, make_shape
 
 
 def test_rotation_error_zero_for_equal():
@@ -91,6 +99,28 @@ def test_model_diameter_blocks_equal_one_shot(monkeypatch):
         one_shot = float(np.linalg.norm(model[:, None, :] - model[None, :, :], axis=2).max())
         monkeypatch.setattr(metrics, "DIAMETER_BLOCK_PAIRS", block_pairs)
         assert model_diameter(model) == one_shot
+
+
+def _blocked_diameter(pts):
+    """The unpruned blocked pass over every point."""
+    rows = max(1, DIAMETER_BLOCK_PAIRS // len(pts))
+    return max(
+        float(np.linalg.norm(pts[lo:lo + rows, None, :] - pts[None, :, :], axis=2).max())
+        for lo in range(0, len(pts), rows)
+    )
+
+
+@pytest.mark.parametrize("kind", SHAPE_KINDS)
+def test_model_diameter_pruned_equals_unpruned(kind):
+    for m in (128, 1024, 2048):
+        model = sample_mesh_surface(make_shape(kind, 1.0), m, np.random.default_rng(m))
+        assert model_diameter(model) == _blocked_diameter(model)
+
+
+def test_model_diameter_one_and_two_points():
+    assert model_diameter(np.array([[0.3, -1.0, 2.0]])) == 0.0
+    pair = np.array([[0.3, -1.0, 2.0], [1.0, 0.5, -0.25]])
+    assert model_diameter(pair) == _blocked_diameter(pair) == float(np.linalg.norm(pair[0] - pair[1]))
 
 
 def test_add_matches_naive_loop_oracle():

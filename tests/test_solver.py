@@ -2,12 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from matchreg.errors import DegenerateMatches
 from matchreg.features import init_net_params
 from matchreg.geometry import Pose, apply_pose, random_rotation_uniform, rotation_about_axis
 from matchreg.matching import Match
-from matchreg.solver import RegisterOptions, icp_refine, register, weighted_kabsch
+from matchreg.solver import (
+    ICP_REJECT_FACTOR,
+    RegisterOptions,
+    icp_refine,
+    register,
+    weighted_kabsch,
+)
+from matchreg.synth import SynthConfig, generate_pair
 
 
 def random_pose(rng, t_scale=1.0):
@@ -152,6 +160,50 @@ def test_icp_zero_iterations_returns_init():
     assert res.pose is init
     assert res.iterations == 0
     assert not res.converged
+
+
+def _icp_through_matches(x, y, init, max_iters, tol):
+    """ICP that solves each step through ``weighted_kabsch`` and Match lists."""
+    tree = cKDTree(y)
+    pose = init
+    residuals = []
+    converged = False
+    iterations = 0
+    for _ in range(max_iters):
+        iterations += 1
+        dists, nn = tree.query(apply_pose(pose, x))
+        keep = dists <= ICP_REJECT_FACTOR * np.median(dists)
+        matches = [Match(int(i), int(nn[i]), 1.0) for i in np.nonzero(keep)[0]]
+        new_pose = weighted_kabsch(x, y, matches)
+        residuals.append(float(dists[keep].mean()))
+        delta_rot = np.arccos(
+            np.clip((np.trace(new_pose.rotation @ pose.rotation.T) - 1) / 2, -1, 1)
+        )
+        delta = float(delta_rot + np.linalg.norm(new_pose.translation - pose.translation))
+        pose = new_pose
+        if delta < tol:
+            converged = True
+            break
+    return pose, iterations, converged, tuple(residuals)
+
+
+def test_icp_equals_match_list_reference():
+    cfg = SynthConfig(m=300, n=200, noise_sigma=0.005, outlier_fraction=0.05)
+    for seed in range(3):
+        rng = np.random.default_rng([31, seed])
+        pair = generate_pair(cfg, rng)
+        gt = pair.gt_pose
+        bump = rotation_about_axis(rng.standard_normal(3), np.radians(8.0))
+        init = Pose(bump @ gt.rotation, gt.translation + rng.uniform(-0.03, 0.03, 3))
+        res = icp_refine(pair.source, pair.target, init, max_iters=50, tol=1e-9)
+        pose, iterations, converged, residuals = _icp_through_matches(
+            pair.source, pair.target, init, 50, 1e-9
+        )
+        assert res.iterations == iterations > 1
+        assert res.converged == converged
+        assert res.residuals == residuals
+        assert np.array_equal(res.pose.rotation, pose.rotation)
+        assert np.array_equal(res.pose.translation, pose.translation)
 
 
 def test_icp_residual_non_increasing():

@@ -90,6 +90,7 @@ def test_normalization_switch_changes_outputs_not_shapes():
     )
 
 
+@pytest.mark.slow
 def test_desk_scale_training_halves_loss():
     # single easy shape, limited rotations, default backbone: the loss must
     # at least halve within 300 iterations
