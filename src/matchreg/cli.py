@@ -18,9 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, MatchregError
-from .features import init_net_params, load_checkpoint, save_checkpoint
+from .features import (
+    DEFAULT_KNN_K,
+    DEFAULT_WIDTHS,
+    init_net_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .fileio import read_ply
-from .matching import DEFAULT_ALPHA, DEFAULT_LAMBDA, DEFAULT_MATCH_THRESHOLD
 from .metrics import (
     DEFAULT_INLIER_THRESHOLD,
     DEFAULT_ROTATION_THRESHOLDS_DEG,
@@ -64,40 +69,53 @@ def _merged(args, parser_defaults: dict, file_values: dict, key: str):
     return parser_defaults[key]
 
 
+def _add_config_flags(p, keys: dict, defaults: dict, hidden: tuple[str, ...] = ()) -> None:
+    """``--config`` and one flag per config key, typed and described by ``keys``.
+
+    The flags default to None, so ``_merged`` can tell a flag given from one
+    left to the file or to ``defaults``; the help states that default.
+    """
+    p.add_argument("--config", help="JSON config file (flags override it)")
+    for key, (kind, text) in keys.items():
+        if key in hidden:
+            text = argparse.SUPPRESS
+        elif defaults[key] is not None:
+            text = f"{text} (default: {defaults[key]})"
+        p.add_argument(
+            "--" + key.replace("_", "-"), dest=key, type=kind, default=None,
+            choices=sorted(NORMALIZATION_CHOICES) if key == "normalization" else None,
+            help=text,
+        )
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
 
+# config key -> (type, help) of the gen flags
 GEN_KEYS = {
-    "count": int,
-    "seed": int,
-    "m": int,
-    "n": int,
-    "noise_sigma": float,
-    "outlier_fraction": float,
-    "outlier_bound": float,
-    "rotation_max_deg": float,
-    "scale_min": float,
-    "scale_max": float,
-    "shapes": str,
-    "hpr_gamma": float,
-    "translation_bound": float,
+    "count": (int, "number of pairs"),
+    "seed": (int, "master seed"),
+    "m": (int, "source cloud size"),
+    "n": (int, "target cloud size"),
+    "noise_sigma": (float, "Gaussian noise sigma in meters"),
+    "outlier_fraction": (float, "fraction of target points replaced by outliers"),
+    "outlier_bound": (float, "outlier box inflation in meters"),
+    "rotation_max_deg": (float, "limit rotations to this angle; omit for full SO(3)"),
+    "scale_min": (float, "minimum object scale"),
+    "scale_max": (float, "maximum object scale"),
+    "shapes": (str, "comma list of shapes"),
+    "hpr_gamma": (float, "hidden-point-removal radius factor"),
+    "translation_bound": (float, "uniform translation box half-width"),
 }
 
+_SYNTH = SynthConfig()
 GEN_DEFAULTS = {
+    **{key: getattr(_SYNTH, key) for key in GEN_KEYS if hasattr(_SYNTH, key)},
     "count": 100,
-    "seed": 0,
-    "m": 1024,
-    "n": 768,
-    "noise_sigma": 0.0,
-    "outlier_fraction": 0.0,
-    "outlier_bound": 0.1,
-    "rotation_max_deg": None,
-    "scale_min": 0.5,
-    "scale_max": 2.0,
-    "shapes": ",".join(SHAPE_KINDS),
-    "hpr_gamma": 10.0,
-    "translation_bound": 0.5,
+    "scale_min": _SYNTH.scale_range[0],
+    "scale_max": _SYNTH.scale_range[1],
+    "shapes": ",".join(_SYNTH.shapes),
 }
 
 
@@ -139,38 +157,32 @@ def cmd_gen(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+# config key -> (type, help) of the training flags that train and ablate share
 TRAIN_KEYS = {
-    "iterations": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "lam": float,
-    "sinkhorn_iters": int,
-    "eval_sinkhorn_iters": int,
-    "normalization": str,
-    "seed": int,
-    "checkpoint_every": int,
-    "gt_thresh": float,
-    "alpha": float,
-    "tau": float,
-    "knn_k": int,
-    "widths": str,
+    "iterations": (int, "training iterations"),
+    "learning_rate": (float, "Adam learning rate"),
+    "batch_size": (int, "samples per iteration"),
+    "lam": (float, "Sinkhorn regularization weight"),
+    "sinkhorn_iters": (int, "Sinkhorn iterations during training"),
+    "eval_sinkhorn_iters": (int, "Sinkhorn iterations at evaluation"),
+    "normalization": (str, "feature normalization mode"),
+    "seed": (int, "training seed"),
+    "checkpoint_every": (int, "iterations between checkpoints and validation passes"),
+    "gt_thresh": (float, "supervision distance threshold"),
+    "alpha": (float, "outlier bin score"),
+    "tau": (float, "match confidence threshold"),
+    "knn_k": (int, "edge-feature neighborhood size"),
+    "widths": (str, "comma list of layer widths"),
 }
 
+_TRAIN = TrainConfig()
 TRAIN_DEFAULTS = {
-    "iterations": 2000,
-    "learning_rate": 1e-3,
-    "batch_size": 8,
-    "lam": DEFAULT_LAMBDA,
-    "sinkhorn_iters": 20,
-    "eval_sinkhorn_iters": 50,
-    "normalization": "match-norm",
-    "seed": 0,
-    "checkpoint_every": 200,
-    "gt_thresh": DEFAULT_INLIER_THRESHOLD,
-    "alpha": DEFAULT_ALPHA,
-    "tau": DEFAULT_MATCH_THRESHOLD,
-    "knn_k": 10,
-    "widths": "32,64,64",
+    **{key: getattr(_TRAIN, key) for key in TRAIN_KEYS if hasattr(_TRAIN, key)},
+    "normalization": next(
+        cli for cli, mode in NORMALIZATION_CHOICES.items() if mode == _TRAIN.normalization
+    ),
+    "knn_k": DEFAULT_KNN_K,
+    "widths": ",".join(str(w) for w in DEFAULT_WIDTHS),
 }
 
 
@@ -181,7 +193,15 @@ def _train_config_from(args, file_values) -> tuple[TrainConfig, int, tuple[int, 
         raise ConfigError(
             f"unknown value for key 'normalization': {norm_cli!r}", key="normalization"
         )
-    widths = tuple(int(w) for w in str(get("widths")).split(",") if w.strip())
+    raw_widths = str(get("widths"))
+    try:
+        widths = tuple(int(w) for w in raw_widths.split(",") if w.strip())
+    except ValueError:
+        widths = ()
+    if not widths or min(widths) < 1:
+        raise ConfigError(
+            f"widths must be a comma list of positive integers, got {raw_widths!r}", key="widths"
+        )
     try:
         cfg = TrainConfig(
             learning_rate=float(get("learning_rate")),
@@ -197,9 +217,12 @@ def _train_config_from(args, file_values) -> tuple[TrainConfig, int, tuple[int, 
             alpha=float(get("alpha")),
             tau=float(get("tau")),
         )
+        knn_k = int(get("knn_k"))
     except ValueError as err:
         raise ConfigError(str(err))
-    return cfg, int(get("knn_k")), widths
+    if knn_k < 1:
+        raise ConfigError(f"knn_k must be >= 1, got {knn_k}", key="knn_k")
+    return cfg, knn_k, widths
 
 
 def cmd_train(args) -> int:
@@ -375,30 +398,43 @@ def cmd_probe_svd(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _add_matching_flags(p) -> None:
+    """The matching flags of register and eval, defaulting to ``RegisterOptions``."""
+    opts = RegisterOptions()
+    p.add_argument("--lam", type=float, default=opts.lam, help="Sinkhorn regularization weight")
+    p.add_argument(
+        "--sinkhorn-iters", dest="sinkhorn_iters", type=int, default=opts.sinkhorn_iters,
+        help="Sinkhorn iterations",
+    )
+    p.add_argument("--tau", type=float, default=opts.tau, help="match confidence threshold")
+    p.add_argument("--alpha", type=float, default=opts.alpha, help="outlier bin score")
+
+
+def _add_metric_flags(p) -> None:
+    """The metric thresholds of eval and ablate."""
+    p.add_argument("--rot-thresholds", dest="rot_thresholds", default=",".join(str(t) for t in DEFAULT_ROTATION_THRESHOLDS_DEG), help="rotation thresholds in degrees")
+    p.add_argument("--trans-thresholds", dest="trans_thresholds", default=",".join(str(t) for t in DEFAULT_TRANSLATION_THRESHOLDS_M), help="translation thresholds in meters")
+    p.add_argument("--inlier-thresh", dest="inlier_thresh", type=float, default=DEFAULT_INLIER_THRESHOLD, help="true-inlier distance threshold")
+
+
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each flag's default to its help, unless the flag has none."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchreg",
         description="Partial-to-whole point cloud registration for 6D object pose estimation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter
 
     p = sub.add_parser("gen", help="generate a synthetic dataset", formatter_class=fmt)
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--count", type=int, default=None, help=f"number of pairs (default {GEN_DEFAULTS['count']})")
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--m", type=int, default=None, help="source cloud size (default 1024)")
-    p.add_argument("--n", type=int, default=None, help="target cloud size (default 768)")
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None, help="Gaussian noise sigma in meters (default 0)")
-    p.add_argument("--outlier-fraction", dest="outlier_fraction", type=float, default=None, help="fraction of target points replaced by outliers (default 0)")
-    p.add_argument("--outlier-bound", dest="outlier_bound", type=float, default=None, help="outlier box inflation in meters (default 0.1)")
-    p.add_argument("--rotation-max-deg", dest="rotation_max_deg", type=float, default=None, help="limit rotations to this angle; omit for full SO(3)")
-    p.add_argument("--scale-min", dest="scale_min", type=float, default=None, help="minimum object scale (default 0.5)")
-    p.add_argument("--scale-max", dest="scale_max", type=float, default=None, help="maximum object scale (default 2.0)")
-    p.add_argument("--shapes", default=None, help=f"comma list of shapes (default {GEN_DEFAULTS['shapes']})")
-    p.add_argument("--hpr-gamma", dest="hpr_gamma", type=float, default=None, help="hidden-point-removal radius factor (default 10)")
-    p.add_argument("--translation-bound", dest="translation_bound", type=float, default=None, help="uniform translation box half-width (default 0.5)")
+    _add_config_flags(p, GEN_KEYS, GEN_DEFAULTS)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train a model on a dataset", formatter_class=fmt)
@@ -407,21 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-data", help="validation dataset directory")
     p.add_argument("--checkpoint-dir", help="directory for periodic checkpoints")
     p.add_argument("--log", help="training log path (JSON lines)")
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--iterations", type=int, default=None, help="training iterations (default 2000)")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None, help="Adam learning rate (default 1e-3)")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None, help="samples per iteration (default 8)")
-    p.add_argument("--lam", type=float, default=None, help="Sinkhorn regularization weight (default 0.5)")
-    p.add_argument("--sinkhorn-iters", dest="sinkhorn_iters", type=int, default=None, help="Sinkhorn iterations during training (default 20)")
-    p.add_argument("--eval-sinkhorn-iters", dest="eval_sinkhorn_iters", type=int, default=None, help="Sinkhorn iterations at evaluation (default 50)")
-    p.add_argument("--normalization", choices=sorted(NORMALIZATION_CHOICES), default=None, help="feature normalization mode (default match-norm)")
-    p.add_argument("--seed", type=int, default=None, help="training seed (default 0)")
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None, help="iterations between checkpoints (default 200)")
-    p.add_argument("--gt-thresh", dest="gt_thresh", type=float, default=None, help="supervision distance threshold (default 0.02)")
-    p.add_argument("--alpha", type=float, default=None, help="outlier bin score (default 1)")
-    p.add_argument("--tau", type=float, default=None, help="match confidence threshold (default 0.5)")
-    p.add_argument("--knn-k", dest="knn_k", type=int, default=None, help="edge-feature neighborhood size (default 10)")
-    p.add_argument("--widths", default=None, help="comma list of layer widths (default 32,64,64)")
+    _add_config_flags(p, TRAIN_KEYS, TRAIN_DEFAULTS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("register", help="register one source/target PLY pair", formatter_class=fmt)
@@ -430,10 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="target PLY (observed cloud)")
     p.add_argument("--icp", action="store_true", help="refine the pose with ICP")
     p.add_argument("--json-out", dest="json_out", help="write the result as JSON")
-    p.add_argument("--lam", type=float, default=DEFAULT_LAMBDA, help="Sinkhorn regularization weight")
-    p.add_argument("--sinkhorn-iters", dest="sinkhorn_iters", type=int, default=50, help="Sinkhorn iterations")
-    p.add_argument("--tau", type=float, default=DEFAULT_MATCH_THRESHOLD, help="match confidence threshold")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="outlier bin score")
+    _add_matching_flags(p)
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("eval", help="evaluate a model over a dataset", formatter_class=fmt)
@@ -441,13 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--icp", action="store_true", help="refine poses with ICP")
     p.add_argument("--json-out", dest="json_out", help="write the metrics report as JSON")
-    p.add_argument("--rot-thresholds", dest="rot_thresholds", default=",".join(str(t) for t in DEFAULT_ROTATION_THRESHOLDS_DEG), help="rotation thresholds in degrees")
-    p.add_argument("--trans-thresholds", dest="trans_thresholds", default=",".join(str(t) for t in DEFAULT_TRANSLATION_THRESHOLDS_M), help="translation thresholds in meters")
-    p.add_argument("--inlier-thresh", dest="inlier_thresh", type=float, default=DEFAULT_INLIER_THRESHOLD, help="true-inlier distance threshold")
-    p.add_argument("--lam", type=float, default=DEFAULT_LAMBDA, help="Sinkhorn regularization weight")
-    p.add_argument("--sinkhorn-iters", dest="sinkhorn_iters", type=int, default=50, help="Sinkhorn iterations")
-    p.add_argument("--tau", type=float, default=DEFAULT_MATCH_THRESHOLD, help="match confidence threshold")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="outlier bin score")
+    _add_metric_flags(p)
+    _add_matching_flags(p)
     p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_eval)
 
@@ -457,24 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", dest="json_out", help="write the comparison as JSON")
     p.add_argument("--mode-a", dest="mode_a", default="match-norm", help="first normalization mode")
     p.add_argument("--mode-b", dest="mode_b", default="per-instance", help="second normalization mode")
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--iterations", type=int, default=None, help="training iterations (default 2000)")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None, help="Adam learning rate (default 1e-3)")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None, help="samples per iteration (default 8)")
-    p.add_argument("--lam", type=float, default=None, help="Sinkhorn regularization weight (default 0.5)")
-    p.add_argument("--sinkhorn-iters", dest="sinkhorn_iters", type=int, default=None, help="Sinkhorn iterations during training (default 20)")
-    p.add_argument("--eval-sinkhorn-iters", dest="eval_sinkhorn_iters", type=int, default=None, help="Sinkhorn iterations at evaluation (default 50)")
-    p.add_argument("--normalization", choices=sorted(NORMALIZATION_CHOICES), default=None, help=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=None, help="training seed (default 0)")
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None, help="iterations between validation passes (default 200)")
-    p.add_argument("--gt-thresh", dest="gt_thresh", type=float, default=None, help="supervision distance threshold (default 0.02)")
-    p.add_argument("--alpha", type=float, default=None, help="outlier bin score (default 1)")
-    p.add_argument("--tau", type=float, default=None, help="match confidence threshold (default 0.5)")
-    p.add_argument("--knn-k", dest="knn_k", type=int, default=None, help="edge-feature neighborhood size (default 10)")
-    p.add_argument("--widths", default=None, help="comma list of layer widths (default 32,64,64)")
-    p.add_argument("--rot-thresholds", dest="rot_thresholds", default=",".join(str(t) for t in DEFAULT_ROTATION_THRESHOLDS_DEG), help="rotation thresholds in degrees")
-    p.add_argument("--trans-thresholds", dest="trans_thresholds", default=",".join(str(t) for t in DEFAULT_TRANSLATION_THRESHOLDS_M), help="translation thresholds in meters")
-    p.add_argument("--inlier-thresh", dest="inlier_thresh", type=float, default=DEFAULT_INLIER_THRESHOLD, help="true-inlier distance threshold")
+    _add_config_flags(p, TRAIN_KEYS, TRAIN_DEFAULTS, hidden=("normalization",))
+    _add_metric_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("probe-svd", help="gradient magnitude vs. singular value gap", formatter_class=fmt)

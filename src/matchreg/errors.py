@@ -50,10 +50,10 @@ class EmptyInput(MatchregError):
 
 
 class NaNLoss(MatchregError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
     def __init__(self, iteration: int):
-        super().__init__(f"non-finite loss at iteration {iteration}")
+        super().__init__(f"non-finite loss or gradient at iteration {iteration}")
         self.iteration = iteration
 
 

@@ -4,12 +4,14 @@ The network is a stack of edge-feature blocks: for every point, concatenate
 its feature with the max over its k nearest neighbors of the feature
 differences, apply a linear map, then Match Normalization, then batch
 normalization, then ReLU. Features are stored as (C, M) arrays, one column
-per point.
+per point; each per-cloud step runs once over the (source, target) pair.
 
 Match Normalization centers the source and target activations separately
 but divides both by one scale, the largest absolute raw source activation.
 Because the source cloud is complete and outlier-free, its scale is stable,
-and sharing it keeps the two activation distributions aligned.
+and sharing it keeps the two activation distributions aligned. The
+ablation modes (``per_instance_norm``, ``none``) take the same path,
+``match_normalize``; batch norm is ``batch_normalize`` in either mode.
 
 Forward passes record everything needed for an exact analytic backward
 (``extract_features_backward``), including the max-pool argmax slots and
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Literal, Sequence, TypeAlias
 
@@ -100,13 +103,6 @@ class NetParams:
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
         object.__setattr__(self, "layers", tuple(self.layers))
-
-
-@dataclass(frozen=True)
-class MatchNormStats:
-    mu_x: NDArray[np.float64]
-    mu_y: NDArray[np.float64]
-    beta: float
 
 
 DEFAULT_FINAL_GAIN = 0.25
@@ -203,13 +199,33 @@ def knn_indices(pc: Points, k: int) -> NDArray[np.int64]:
 # Match Normalization
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class MatchNormStats:
+    """What ``match_normalize`` subtracted and divided by, per cloud.
+
+    ``beta`` divides the source and ``beta_y`` the target. ``scale_at``
+    holds per cloud the flat index of the |activation| entry that set the
+    cloud's own scale, where the scale's gradient goes; None when the cloud
+    sets no scale or its scale was floored.
+    """
+
+    mu_x: NDArray[np.float64]
+    mu_y: NDArray[np.float64]
+    beta: float
+    beta_y: float
+    scale_at: tuple[int | None, int | None]
+
+
 def match_normalize(
-    o_x: FeatureArray, o_y: FeatureArray
+    o_x: FeatureArray, o_y: FeatureArray, normalization: str = "match_norm"
 ) -> tuple[FeatureArray, FeatureArray, MatchNormStats]:
     """Center each cloud's activations, divide both by the source scale.
 
-    The scale is max |o_x| over all raw source entries, floored at 1e-8 so
-    all-zero activations stay finite.
+    A scale is max |a| over all raw entries of a cloud, floored at 1e-8 so
+    all-zero activations stay finite. The modes differ only in where the
+    scale comes from: ``match_norm`` divides both clouds by the source's,
+    ``per_instance_norm`` divides each cloud by its own, and ``none`` passes
+    both through unchanged (zero means, unit scales).
     """
     ax = np.asarray(o_x, dtype=np.float64)
     ay = np.asarray(o_y, dtype=np.float64)
@@ -217,36 +233,69 @@ def match_normalize(
         raise ValueError("feature tensors must be 2-D (channels, points)")
     if ax.shape[0] != ay.shape[0]:
         raise ChannelMismatch(f"channel counts differ: {ax.shape[0]} vs {ay.shape[0]}")
+    if normalization not in NORMALIZATION_MODES:
+        raise ValueError(f"unknown normalization {normalization!r}")
+    if normalization == "none":
+        return ax, ay, MatchNormStats(np.zeros(len(ax)), np.zeros(len(ay)), 1.0, 1.0, (None, None))
+    beta_x, at_x = _scale(ax)
+    beta_y, at_y = (beta_x, None) if normalization == "match_norm" else _scale(ay)
     mu_x = ax.mean(axis=1)
     mu_y = ay.mean(axis=1)
-    beta = max(float(np.abs(ax).max()), MN_SCALE_FLOOR)
-    ox = (ax - mu_x[:, None]) / beta
-    oy = (ay - mu_y[:, None]) / beta
-    return ox, oy, MatchNormStats(mu_x=mu_x, mu_y=mu_y, beta=beta)
+    ox = (ax - mu_x[:, None]) / beta_x
+    oy = (ay - mu_y[:, None]) / beta_y
+    return ox, oy, MatchNormStats(mu_x, mu_y, beta_x, beta_y, (at_x, at_y))
 
 
-def _mn_forward_single(a: FeatureArray):
-    """Per-instance normalization: own mean, own scale."""
-    mu = a.mean(axis=1)
-    raw_max = float(np.abs(a).max())
-    beta = max(raw_max, MN_SCALE_FLOOR)
-    out = (a - mu[:, None]) / beta
-    return out, mu, beta, raw_max < MN_SCALE_FLOOR, int(np.argmax(np.abs(a)))
+def _scale(a: FeatureArray) -> tuple[float, int | None]:
+    """max |a| floored at 1e-8, and the flat index of that entry (None if floored)."""
+    mag = np.abs(a)
+    i = int(np.argmax(mag))
+    raw = float(mag.flat[i])
+    return max(raw, MN_SCALE_FLOOR), None if raw < MN_SCALE_FLOOR else i
 
 
-def _mn_backward_pair(g, out, a, beta, floored, argmax_flat):
-    """Gradient through (a - mean(a)) / beta for the cloud that owns beta."""
-    da = (g - g.mean(axis=1, keepdims=True)) / beta
-    if not floored:
-        dbeta = -float((g * out).sum()) / beta
-        da = da.copy()
-        da.flat[argmax_flat] += dbeta * np.sign(a.flat[argmax_flat])
+def _match_normalize_backward(g, act, out, stats: MatchNormStats, normalization: str):
+    """Gradient through ``match_normalize`` for the (source, target) pair.
+
+    ``g``, ``act`` and ``out`` are the pairs of upstream gradients, raw
+    inputs and outputs. A scale is differentiated at its argmax entry (a
+    subgradient; ties go to the lowest flat index).
+    """
+    if normalization == "none":
+        return list(g)
+    betas = (stats.beta, stats.beta_y)
+    da = [(gc - gc.mean(axis=1, keepdims=True)) / b for gc, b in zip(g, betas)]
+    dots = [float((gc * oc).sum()) for gc, oc in zip(g, out)]
+    if normalization == "match_norm":  # the source scale divides both clouds
+        dots[0] += dots[1]
+    for c, i in enumerate(stats.scale_at):
+        if i is not None:
+            da[c].flat[i] += -dots[c] / betas[c] * np.sign(act[c].flat[i])
     return da
 
 
 # ---------------------------------------------------------------------------
 # Batch normalization
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BatchNormCache:
+    """What ``batch_normalize`` hands its backward."""
+
+    mode: str
+    z: list[FeatureArray]          # normalized, pre-affine, one per tensor
+    std: NDArray[np.float64]       # per-channel divisor actually used
+    mean: NDArray[np.float64]      # the batch statistics in train mode,
+    var: NDArray[np.float64]       # the running ones in eval mode
+
+
+def fold_running_stats(running_mean, running_var, batch_stats):
+    """Momentum updates of running statistics, one per (mean, var), in order."""
+    for mean, var in batch_stats:
+        running_mean = BN_MOMENTUM * running_mean + (1 - BN_MOMENTUM) * mean
+        running_var = BN_MOMENTUM * running_var + (1 - BN_MOMENTUM) * var
+    return running_mean, running_var
+
 
 def batch_normalize(
     batch: Sequence[FeatureArray],
@@ -255,12 +304,14 @@ def batch_normalize(
     running_mean,
     running_var,
     mode: str = "train",
+    return_cache: bool = False,
 ):
     """Channel-wise normalization over all points of all batch instances.
 
     Train mode uses (biased) batch statistics and returns running stats
     updated with momentum 0.9; eval mode normalizes by the running stats.
-    Returns (outputs, new_running_mean, new_running_var).
+    Returns (outputs, new_running_mean, new_running_var), and with
+    ``return_cache`` also the ``BatchNormCache`` its backward needs.
     """
     if not batch:
         raise EmptyBatch("batch_normalize received no tensors")
@@ -273,18 +324,33 @@ def batch_normalize(
         pooled = np.concatenate(tensors, axis=1)
         if pooled.shape[1] < 2:
             raise EmptyBatch("train-mode batch normalization needs at least 2 points")
-        m = pooled.mean(axis=1)
-        v = pooled.var(axis=1)
-        s = np.sqrt(v + BN_EPS)
-        outs = [gamma[:, None] * ((t - m[:, None]) / s[:, None]) + beta[:, None] for t in tensors]
-        new_rm = BN_MOMENTUM * rm + (1 - BN_MOMENTUM) * m
-        new_rv = BN_MOMENTUM * rv + (1 - BN_MOMENTUM) * v
+        mean = pooled.mean(axis=1)
+        var = pooled.var(axis=1)
+        new_rm, new_rv = fold_running_stats(rm, rv, [(mean, var)])
+    elif mode == "eval":
+        mean, var = new_rm, new_rv = rm, rv
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    std = np.sqrt(var + BN_EPS)
+    z = [(t - mean[:, None]) / std[:, None] for t in tensors]
+    outs = [gamma[:, None] * zt + beta[:, None] for zt in z]
+    if not return_cache:
         return outs, new_rm, new_rv
-    if mode == "eval":
-        s = np.sqrt(rv + BN_EPS)
-        outs = [gamma[:, None] * ((t - rm[:, None]) / s[:, None]) + beta[:, None] for t in tensors]
-        return outs, rm, rv
-    raise ValueError(f"unknown mode {mode!r}")
+    return outs, new_rm, new_rv, BatchNormCache(mode, z, std, mean, var)
+
+
+def _batch_normalize_backward(cache: BatchNormCache, gamma, grads):
+    """Gradients of ``batch_normalize`` wrt its inputs, gamma and beta."""
+    d_gamma = reduce(np.add, [(g * z).sum(axis=1) for g, z in zip(grads, cache.z)])
+    d_beta = reduce(np.add, [g.sum(axis=1) for g in grads])
+    dz = [g * gamma[:, None] for g in grads]
+    if cache.mode == "eval":
+        return [d / cache.std[:, None] for d in dz], d_gamma, d_beta
+    pooled = np.concatenate(dz, axis=1)
+    z = np.concatenate(cache.z, axis=1)
+    du = pooled - pooled.mean(axis=1, keepdims=True) - z * (pooled * z).mean(axis=1, keepdims=True)
+    du /= cache.std[:, None]
+    return np.split(du, np.cumsum([d.shape[1] for d in dz])[:-1], axis=1), d_gamma, d_beta
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +366,8 @@ def _edge_forward(f: FeatureArray, idx: NDArray[np.int64]):
 
 
 def _edge_backward(d_edge, idx, amax, c_in):
-    df = d_edge[:c_in].copy()
     dp = d_edge[c_in:]
-    df -= dp
+    df = d_edge[:c_in] - dp
     m = idx.shape[0]
     j_star = idx[np.arange(m)[None, :], amax]  # (C, M) neighbor of the max slot
     rows = np.broadcast_to(np.arange(c_in)[:, None], j_star.shape)
@@ -316,39 +381,20 @@ def _edge_backward(d_edge, idx, amax, c_in):
 
 @dataclass
 class _LayerCache:
-    edge_x: FeatureArray
-    edge_y: FeatureArray
-    amax_x: NDArray[np.int64]
-    amax_y: NDArray[np.int64]
-    act_x: FeatureArray            # linear output, pre-MN
-    act_y: FeatureArray
-    mn_out_x: FeatureArray
-    mn_out_y: FeatureArray
-    mn_beta_x: float
-    mn_beta_y: float               # equals mn_beta_x in match_norm mode
-    mn_floored_x: bool
-    mn_floored_y: bool
-    mn_argmax_x: int
-    mn_argmax_y: int
-    bn_std: NDArray[np.float64]    # per-channel divisor actually used
-    bn_z_x: FeatureArray           # normalized, pre-affine
-    bn_z_y: FeatureArray
-    relu_mask_x: NDArray[np.bool_]
-    relu_mask_y: NDArray[np.bool_]
-    out_x: FeatureArray
-    out_y: FeatureArray
-    bn_batch_mean: NDArray[np.float64]  # stats of this forward (train mode)
-    bn_batch_var: NDArray[np.float64]
-    new_running_mean: NDArray[np.float64]
-    new_running_var: NDArray[np.float64]
+    """One layer's forward state; each list holds the (source, target) pair."""
+
+    edge: list[FeatureArray]
+    amax: list[NDArray[np.int64]]
+    act: list[FeatureArray]        # linear output, pre-MN
+    mn_out: list[FeatureArray]
+    mn: MatchNormStats
+    bn: BatchNormCache
+    relu_mask: list[NDArray[np.bool_]]
 
 
 @dataclass
 class ForwardCache:
-    knn_x: NDArray[np.int64]
-    knn_y: NDArray[np.int64]
-    input_x: FeatureArray          # (3, M)
-    input_y: FeatureArray          # (3, N)
+    knn: list[NDArray[np.int64]]   # (source, target) neighbor indices
     layers: list[_LayerCache]
     mode: str
     normalization: str
@@ -371,83 +417,34 @@ def extract_features(
         raise ValueError(f"unknown mode {mode!r}")
     if normalization not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization {normalization!r}")
-    xp = as_points(x)
-    yp = as_points(y)
-    if xp.shape[0] <= params.knn_k or yp.shape[0] <= params.knn_k:
+    clouds = [as_points(x), as_points(y)]
+    if any(p.shape[0] <= params.knn_k for p in clouds):
         raise TooFewPoints(
-            f"cloud sizes ({xp.shape[0]}, {yp.shape[0]}) must exceed knn_k={params.knn_k}"
+            f"cloud sizes ({clouds[0].shape[0]}, {clouds[1].shape[0]}) "
+            f"must exceed knn_k={params.knn_k}"
         )
-    idx_x = knn_indices(xp, params.knn_k)
-    idx_y = knn_indices(yp, params.knn_k)
-    fx = xp.T.copy()
-    fy = yp.T.copy()
-    cache = ForwardCache(
-        knn_x=idx_x, knn_y=idx_y, input_x=fx, input_y=fy,
-        layers=[], mode=mode, normalization=normalization,
-    )
+    knn = [knn_indices(p, params.knn_k) for p in clouds]
+    feats = [p.T.copy() for p in clouds]
+    cache = ForwardCache(knn=knn, layers=[], mode=mode, normalization=normalization)
 
     for lp in params.layers:
-        ex, amax_x = _edge_forward(fx, idx_x)
-        ey, amax_y = _edge_forward(fy, idx_y)
-        ax = lp.weight @ ex + lp.bias[:, None]
-        ay = lp.weight @ ey + lp.bias[:, None]
-
-        if normalization == "match_norm":
-            ux, uy, stats = match_normalize(ax, ay)
-            beta_x = beta_y = stats.beta
-            floored_x = floored_y = float(np.abs(ax).max()) < MN_SCALE_FLOOR
-            argmax_x = argmax_y = int(np.argmax(np.abs(ax)))
-        elif normalization == "per_instance_norm":
-            ux, _, beta_x, floored_x, argmax_x = _mn_forward_single(ax)
-            uy, _, beta_y, floored_y, argmax_y = _mn_forward_single(ay)
-        else:  # "none"
-            ux, uy = ax, ay
-            beta_x = beta_y = 1.0
-            floored_x = floored_y = True
-            argmax_x = argmax_y = 0
-
-        if mode == "train":
-            pooled = np.concatenate([ux, uy], axis=1)
-            m = pooled.mean(axis=1)
-            v = pooled.var(axis=1)
-            std = np.sqrt(v + BN_EPS)
-            zx = (ux - m[:, None]) / std[:, None]
-            zy = (uy - m[:, None]) / std[:, None]
-            new_rm = BN_MOMENTUM * lp.bn_running_mean + (1 - BN_MOMENTUM) * m
-            new_rv = BN_MOMENTUM * lp.bn_running_var + (1 - BN_MOMENTUM) * v
-        else:
-            m = lp.bn_running_mean
-            v = lp.bn_running_var
-            std = np.sqrt(lp.bn_running_var + BN_EPS)
-            zx = (ux - lp.bn_running_mean[:, None]) / std[:, None]
-            zy = (uy - lp.bn_running_mean[:, None]) / std[:, None]
-            new_rm = lp.bn_running_mean
-            new_rv = lp.bn_running_var
-        bx = lp.bn_gamma[:, None] * zx + lp.bn_beta[:, None]
-        by = lp.bn_gamma[:, None] * zy + lp.bn_beta[:, None]
-
-        mask_x = bx > 0
-        mask_y = by > 0
-        out_x = np.where(mask_x, bx, 0.0)
-        out_y = np.where(mask_y, by, 0.0)
-
+        edge, amax = zip(*[_edge_forward(f, idx) for f, idx in zip(feats, knn)])
+        act = [lp.weight @ e + lp.bias[:, None] for e in edge]
+        ux, uy, mn = match_normalize(act[0], act[1], normalization)
+        bn_out, _, _, bn = batch_normalize(
+            [ux, uy], lp.bn_gamma, lp.bn_beta, lp.bn_running_mean, lp.bn_running_var,
+            mode=mode, return_cache=True,
+        )
+        relu_mask = [b > 0 for b in bn_out]
+        feats = [np.where(m, b, 0.0) for m, b in zip(relu_mask, bn_out)]
         cache.layers.append(
             _LayerCache(
-                edge_x=ex, edge_y=ey, amax_x=amax_x, amax_y=amax_y,
-                act_x=ax, act_y=ay, mn_out_x=ux, mn_out_y=uy,
-                mn_beta_x=beta_x, mn_beta_y=beta_y,
-                mn_floored_x=floored_x, mn_floored_y=floored_y,
-                mn_argmax_x=argmax_x, mn_argmax_y=argmax_y,
-                bn_std=std, bn_z_x=zx, bn_z_y=zy,
-                relu_mask_x=mask_x, relu_mask_y=mask_y,
-                out_x=out_x, out_y=out_y,
-                bn_batch_mean=m, bn_batch_var=v,
-                new_running_mean=new_rm, new_running_var=new_rv,
+                edge=list(edge), amax=list(amax), act=act, mn_out=[ux, uy], mn=mn,
+                bn=bn, relu_mask=relu_mask,
             )
         )
-        fx, fy = out_x, out_y
 
-    return fx, fy, cache
+    return feats[0], feats[1], cache
 
 
 def extract_features_backward(
@@ -463,75 +460,28 @@ def extract_features_backward(
     element, ties to the lowest flat index), the linear maps, and the
     max-pool edge aggregation.
     """
-    last = cache.layers[-1]
-    d_fx = np.asarray(d_fx, dtype=np.float64)
-    d_fy = np.asarray(d_fy, dtype=np.float64)
-    if d_fx.shape != last.out_x.shape or d_fy.shape != last.out_y.shape:
-        raise ShapeMismatch(
-            f"upstream gradients {d_fx.shape}/{d_fy.shape} do not match "
-            f"outputs {last.out_x.shape}/{last.out_y.shape}"
-        )
+    want = [m.shape for m in cache.layers[-1].relu_mask]
+    g = [np.asarray(d, dtype=np.float64) for d in (d_fx, d_fy)]
+    got = [a.shape for a in g]
+    if got != want:
+        raise ShapeMismatch(f"upstream gradient shapes {got} do not match outputs {want}")
 
     grads: list[dict[str, NDArray[np.float64]]] = []
-    gx, gy = d_fx, d_fy
     for lp, lc in zip(reversed(params.layers), reversed(cache.layers)):
-        # ReLU
-        gx = np.where(lc.relu_mask_x, gx, 0.0)
-        gy = np.where(lc.relu_mask_y, gy, 0.0)
-
-        # batch norm
-        d_gamma = (gx * lc.bn_z_x).sum(axis=1) + (gy * lc.bn_z_y).sum(axis=1)
-        d_beta = gx.sum(axis=1) + gy.sum(axis=1)
-        dzx = gx * lp.bn_gamma[:, None]
-        dzy = gy * lp.bn_gamma[:, None]
-        if cache.mode == "train":
-            dz = np.concatenate([dzx, dzy], axis=1)
-            z = np.concatenate([lc.bn_z_x, lc.bn_z_y], axis=1)
-            du = (dz - dz.mean(axis=1, keepdims=True) - z * (dz * z).mean(axis=1, keepdims=True))
-            du /= lc.bn_std[:, None]
-            mx = dzx.shape[1]
-            dux, duy = du[:, :mx], du[:, mx:]
-        else:
-            dux = dzx / lc.bn_std[:, None]
-            duy = dzy / lc.bn_std[:, None]
-
-        # match normalization
-        if cache.normalization == "match_norm":
-            dax = (dux - dux.mean(axis=1, keepdims=True)) / lc.mn_beta_x
-            day = (duy - duy.mean(axis=1, keepdims=True)) / lc.mn_beta_x
-            if not lc.mn_floored_x:
-                d_scale = -(
-                    float((dux * lc.mn_out_x).sum()) + float((duy * lc.mn_out_y).sum())
-                ) / lc.mn_beta_x
-                dax.flat[lc.mn_argmax_x] += d_scale * np.sign(lc.act_x.flat[lc.mn_argmax_x])
-        elif cache.normalization == "per_instance_norm":
-            dax = _mn_backward_pair(
-                dux, lc.mn_out_x, lc.act_x, lc.mn_beta_x, lc.mn_floored_x, lc.mn_argmax_x
-            )
-            day = _mn_backward_pair(
-                duy, lc.mn_out_y, lc.act_y, lc.mn_beta_y, lc.mn_floored_y, lc.mn_argmax_y
-            )
-        else:
-            dax, day = dux, duy
-
-        # linear
-        d_weight = dax @ lc.edge_x.T + day @ lc.edge_y.T
-        d_bias = dax.sum(axis=1) + day.sum(axis=1)
-        dex = lp.weight.T @ dax
-        dey = lp.weight.T @ day
-
-        grads.append(
-            {"weight": d_weight, "bias": d_bias, "bn_gamma": d_gamma, "bn_beta": d_beta}
-        )
-
-        # edge aggregation back to the previous layer's features
-        c_in = lp.in_channels
-        gx = _edge_backward(dex, cache.knn_x, lc.amax_x, c_in)
-        gy = _edge_backward(dey, cache.knn_y, lc.amax_y, c_in)
+        g = [np.where(m, gc, 0.0) for m, gc in zip(lc.relu_mask, g)]
+        du, d_gamma, d_beta = _batch_normalize_backward(lc.bn, lp.bn_gamma, g)
+        da = _match_normalize_backward(du, lc.act, lc.mn_out, lc.mn, cache.normalization)
+        d_weight = reduce(np.add, [d @ e.T for d, e in zip(da, lc.edge)])
+        d_bias = reduce(np.add, [d.sum(axis=1) for d in da])
+        grads.append({"weight": d_weight, "bias": d_bias, "bn_gamma": d_gamma, "bn_beta": d_beta})
+        # linear map, then edge aggregation back to the previous layer's features
+        g = [
+            _edge_backward(lp.weight.T @ d, idx, amax, lp.in_channels)
+            for d, idx, amax in zip(da, cache.knn, lc.amax)
+        ]
 
     grads.reverse()
-    return grads, gx.T.copy(), gy.T.copy()
-
+    return grads, g[0].T.copy(), g[1].T.copy()
 
 # ---------------------------------------------------------------------------
 # Checkpoints

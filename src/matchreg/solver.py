@@ -37,7 +37,8 @@ def weighted_kabsch(x: Points, y: Points, matches: list[Match]) -> Pose:
 
     Minimizes sum w |R x + t - y|^2 via the SVD of the weighted
     cross-covariance, with the determinant sign fix so the result is a
-    proper rotation even for reflection-prone inputs.
+    proper rotation even for reflection-prone inputs. Matched points that
+    lie on a line, on either side, raise ``DegenerateMatches``.
     """
     if len(matches) < 3:
         raise DegenerateMatches(f"need at least 3 matches, got {len(matches)}")
@@ -50,7 +51,16 @@ def weighted_kabsch(x: Points, y: Points, matches: list[Match]) -> Pose:
         raise DegenerateMatches("negative match weight")
     if w.sum() <= 0:
         raise DegenerateMatches("total match weight is zero")
-    return _kabsch(xp[si], yp[ti], w)
+    ys = yp[ti]
+    _require_spread(ys - (w[:, None] * ys).sum(axis=0) / w.sum(), w, "target")
+    return _kabsch(xp[si], ys, w)
+
+
+def _require_spread(centered, w, side: str) -> None:
+    """Raise ``DegenerateMatches`` when weighted, centered points lie on a line."""
+    sv = np.linalg.svd(np.sqrt(w)[:, None] * centered, compute_uv=False)
+    if sv[1] < 1e-9:
+        raise DegenerateMatches(f"matched {side} points are collinear")
 
 
 def _kabsch(xs, ys, w) -> Pose:
@@ -67,9 +77,7 @@ def _kabsch(xs, ys, w) -> Pose:
     xc = xs - x_bar
     yc = ys - y_bar
 
-    sv = np.linalg.svd(np.sqrt(w)[:, None] * xc, compute_uv=False)
-    if sv[1] < 1e-9:
-        raise DegenerateMatches("matched source points are collinear")
+    _require_spread(xc, w, "source")
 
     h = (w[:, None] * xc).T @ yc
     u, _, vt = np.linalg.svd(h)

@@ -140,7 +140,7 @@ def end_to_end_gradient(
     d_fx = fy @ d_scores.T
     d_fy = fx @ d_scores
     grads, d_x, d_y = extract_features_backward(params, cache, d_fx, d_fy)
-    stats = [(lc.bn_batch_mean, lc.bn_batch_var) for lc in cache.layers]
+    stats = [(lc.bn.mean, lc.bn.var) for lc in cache.layers]
     return EndToEndResult(
         loss=loss.value,
         param_grads=grads,

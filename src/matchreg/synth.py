@@ -225,11 +225,10 @@ def _make_sphere(scale: float, meridians: int = 12, rings: int = 7) -> TriangleM
     return _triangulate(vertices, polys)
 
 
-def make_shape(kind: str, scale: float, rng: np.random.Generator | None = None) -> TriangleMesh:
+def make_shape(kind: str, scale: float) -> TriangleMesh:
     """Watertight primitive with characteristic size ``scale``.
 
-    Construction is deterministic per (kind, scale); the rng argument exists
-    for interface uniformity and is unused.
+    Construction is deterministic per (kind, scale).
     """
     if scale <= 0:
         raise ValueError("scale must be positive")

@@ -17,11 +17,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import EmptyGroundTruth, EmptyInput, NaNLoss
-from .features import (
-    BN_MOMENTUM,
-    LayerParams,
-    NetParams,
-    save_checkpoint,
+from .features import LayerParams, NetParams, fold_running_stats, save_checkpoint
+from .matching import (
+    DEFAULT_ALPHA,
+    DEFAULT_LAMBDA,
+    DEFAULT_MATCH_THRESHOLD,
+    DEFAULT_SINKHORN_ITERS,
 )
 from .metrics import (
     DEFAULT_INLIER_THRESHOLD,
@@ -47,15 +48,15 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 8
     iterations: int = 2000
-    lam: float = 0.5
+    lam: float = DEFAULT_LAMBDA
     sinkhorn_iters: int = 20       # training-time unroll depth
-    eval_sinkhorn_iters: int = 50  # used for validation / final evaluation
+    eval_sinkhorn_iters: int = DEFAULT_SINKHORN_ITERS  # used for validation / final evaluation
     normalization: str = "match_norm"
     seed: int = 0
     checkpoint_every: int = 200
     gt_thresh: float = 0.02
-    alpha: float = 1.0
-    tau: float = 0.5
+    alpha: float = DEFAULT_ALPHA
+    tau: float = DEFAULT_MATCH_THRESHOLD
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -150,19 +151,10 @@ def _fold_running_stats(
     """Apply batch-norm momentum updates sample by sample, in index order."""
     layers = []
     for li, lp in enumerate(params.layers):
-        rm = lp.bn_running_mean
-        rv = lp.bn_running_var
-        for stats in per_sample_stats:
-            mean, var = stats[li]
-            rm = BN_MOMENTUM * rm + (1 - BN_MOMENTUM) * mean
-            rv = BN_MOMENTUM * rv + (1 - BN_MOMENTUM) * var
-        layers.append(
-            LayerParams(
-                weight=lp.weight, bias=lp.bias,
-                bn_gamma=lp.bn_gamma, bn_beta=lp.bn_beta,
-                bn_running_mean=rm, bn_running_var=rv,
-            )
+        rm, rv = fold_running_stats(
+            lp.bn_running_mean, lp.bn_running_var, [stats[li] for stats in per_sample_stats]
         )
+        layers.append(replace(lp, bn_running_mean=rm, bn_running_var=rv))
     return NetParams(layers=tuple(layers), knn_k=params.knn_k)
 
 
@@ -231,7 +223,8 @@ def train(
     """Adam on the mean batch NLL of the end-to-end matching pipeline.
 
     Deterministic for a fixed config and data; raises ``NaNLoss`` (with the
-    iteration recorded) the moment a non-finite batch loss appears.
+    iteration recorded) the moment a non-finite batch loss or batch gradient
+    appears, before it reaches the parameters.
     """
     if not data:
         raise EmptyInput("no training samples")
@@ -281,6 +274,8 @@ def train(
         if not np.isfinite(batch_loss):
             raise NaNLoss(it)
         mean_grads = [{k: v / used for k, v in g.items()} for g in grad_sum]
+        if not all(np.all(np.isfinite(v)) for g in mean_grads for v in g.values()):
+            raise NaNLoss(it)
         params, state = adam_step(params, mean_grads, state, cfg)
         params = _fold_running_stats(params, batch_stats)
         log.records.append({"iteration": it, "loss": batch_loss, "skipped": skipped})

@@ -149,8 +149,8 @@ def test_criterion_04_match_normalization_invariants():
         y = rng.standard_normal((9, 3)) * scale + rng.uniform(-1, 1, 3)
         _, _, cache = extract_features(params, x, y, mode="train")
         for lc in cache.layers:
-            assert np.abs(lc.mn_out_x.mean(axis=1)).max() < 1e-10
-            assert np.abs(lc.mn_out_y.mean(axis=1)).max() < 1e-10
+            assert np.abs(lc.mn_out[0].mean(axis=1)).max() < 1e-10
+            assert np.abs(lc.mn_out[1].mean(axis=1)).max() < 1e-10
 
         ax = rng.standard_normal((5, 14))
         ay = rng.standard_normal((5, 11))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchreg.cli import main
+from matchreg.cli import TRAIN_DEFAULTS, TRAIN_KEYS, build_parser, main
 from matchreg.features import init_net_params, save_checkpoint
 from matchreg.fileio import write_ply
 from matchreg.synth import SynthConfig, generate_dataset, write_dataset
@@ -114,6 +114,10 @@ def test_train_smoke_and_log_header(tmp_path, tiny_dataset):
         ("--sinkhorn-iters", "0", "sinkhorn_iters"),
         ("--eval-sinkhorn-iters", "0", "eval_sinkhorn_iters"),
         ("--tau", "1.5", "tau"),
+        ("--knn-k", "0", "knn_k"),
+        ("--widths", ",", "widths"),
+        ("--widths", "8,x", "widths"),
+        ("--widths", "8,0", "widths"),
     ],
 )
 def test_train_bad_config_exits_2_before_loading_data(tmp_path, capsys, flag, value, key):
@@ -305,3 +309,32 @@ def test_help_lists_defaults(cmd, capsys):
     assert "default" in text
     if cmd in ("train", "register", "eval"):
         assert "0.5" in text  # assignment temperature default
+    flat = " ".join(text.split())
+    # every default prints once, as argparse writes it, and never as None
+    assert "(default " not in flat
+    assert "(default: None)" not in flat
+    if cmd in ("train", "ablate"):
+        for key, value in TRAIN_DEFAULTS.items():
+            if key == "normalization" and cmd == "ablate":
+                continue  # ablate sets the mode per arm
+            assert f"(default: {value})" in flat, key
+        assert "(default: 2000)" in flat
+
+
+TRAINING_ARGV = [
+    "--iterations", "3", "--learning-rate", "0.01", "--batch-size", "2", "--lam", "0.4",
+    "--sinkhorn-iters", "5", "--eval-sinkhorn-iters", "7", "--normalization", "none",
+    "--seed", "9", "--checkpoint-every", "2", "--gt-thresh", "0.03", "--alpha", "0.8",
+    "--tau", "0.3", "--knn-k", "4", "--widths", "6,6", "--config", "c.json",
+]
+
+
+def test_train_and_ablate_accept_the_same_training_flags():
+    assert {flag.lstrip("-").replace("-", "_") for flag in TRAINING_ARGV[::2]} == {
+        *TRAIN_KEYS, "config"
+    }
+    parser = build_parser()
+    train_args = parser.parse_args(["train", "--data", "d", "--out-model", "m", *TRAINING_ARGV])
+    ablate_args = parser.parse_args(["ablate", "--data", "d", "--holdout", "h", *TRAINING_ARGV])
+    for key in (*TRAIN_KEYS, "config", "data"):
+        assert getattr(train_args, key) == getattr(ablate_args, key), key

@@ -258,10 +258,10 @@ def test_rotation_changes_features_but_keeps_mn_centered():
     fx1, _, cache = extract_features(params, apply_pose(pose, x), apply_pose(pose, y), mode="train")
     assert np.abs(fx1 - fx0).max() > 1e-6  # no invariance claimed
     for lc in cache.layers:
-        assert np.abs(lc.mn_out_x.mean(axis=1)).max() < 1e-10
-        assert np.abs(lc.mn_out_y.mean(axis=1)).max() < 1e-10
+        assert np.abs(lc.mn_out[0].mean(axis=1)).max() < 1e-10
+        assert np.abs(lc.mn_out[1].mean(axis=1)).max() < 1e-10
         # the shared scale is exactly the absolute raw source maximum
-        assert lc.mn_beta_x == np.abs(lc.act_x).max()
+        assert lc.mn.beta == np.abs(lc.act[0]).max()
 
 
 def test_forward_deterministic():

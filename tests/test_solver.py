@@ -1,11 +1,15 @@
 """Kabsch solve, ICP refinement, and registration pipeline tests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from matchreg import solver
+
 from matchreg.errors import DegenerateMatches
-from matchreg.features import init_net_params
+from matchreg.features import init_net_params, load_checkpoint
 from matchreg.geometry import Pose, apply_pose, random_rotation_uniform, rotation_about_axis
 from matchreg.matching import Match
 from matchreg.solver import (
@@ -222,6 +226,30 @@ def test_icp_residual_non_increasing():
         assert np.all(diffs <= 1e-12)
 
 
+FIVE_ONTO_TWO = [Match(i, i % 2, 1.0) for i in range(5)]
+
+
+def test_kabsch_rejects_matches_onto_two_target_points():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((5, 3))
+    y = rng.standard_normal((2, 3))
+    with pytest.raises(DegenerateMatches, match="target"):
+        weighted_kabsch(x, y, FIVE_ONTO_TWO)
+
+
+def test_register_falls_back_on_degenerate_target_matches(monkeypatch):
+    rng = np.random.default_rng(6)
+    params = init_net_params(rng, widths=(6,), knn_k=3)
+    x = rng.standard_normal((15, 3))
+    y = rng.standard_normal((12, 3))
+    monkeypatch.setattr(solver, "extract_matches", lambda *args, **kwargs: list(FIVE_ONTO_TWO))
+    res = register(params, x, y, RegisterOptions(use_icp=True))
+    assert not res.converged
+    assert res.predicted_match_count == 5
+    np.testing.assert_array_equal(res.pose.rotation, np.eye(3))
+    np.testing.assert_array_equal(res.pose.translation, np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # register()
 # ---------------------------------------------------------------------------
@@ -278,3 +306,55 @@ def test_register_icp_toggle_is_exactly_one_stage():
         direct = weighted_kabsch(x, y, list(plain.matches))
         np.testing.assert_array_equal(plain.pose.rotation, direct.rotation)
         np.testing.assert_array_equal(plain.pose.translation, direct.translation)
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic properties of register() under Match Normalization
+# ---------------------------------------------------------------------------
+
+DESK_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json"
+METAMORPHIC_SYNTH = SynthConfig(m=256, n=192, noise_sigma=0.005, outlier_fraction=0.05)
+METAMORPHIC_OPTS = RegisterOptions(tau=0.2, normalization="match_norm", use_icp=False)
+
+
+def _desk_pairs(count):
+    params, normalization = load_checkpoint(DESK_CHECKPOINT)
+    assert normalization == "match_norm"
+    for i in range(count):
+        yield params, generate_pair(METAMORPHIC_SYNTH, np.random.default_rng([7, i]))
+
+
+def test_register_target_shift_moves_only_the_translation():
+    """register(x, y + t) matches as register(x, y) does, and its pose is shifted by t.
+
+    This holds under Match Normalization only: the first layer sees the raw
+    target coordinates, so a shift adds one constant per channel to the
+    target activations, which centering removes, while the shared scale
+    comes from the source alone. Per-instance normalization takes the
+    target's scale from its shifted activations and does not have it.
+    """
+    shift = np.array([0.3, -0.2, 0.5])
+    for params, pair in _desk_pairs(8):
+        base = register(params, pair.source, pair.target, METAMORPHIC_OPTS)
+        moved = register(params, pair.source, pair.target + shift, METAMORPHIC_OPTS)
+        assert base.converged and moved.converged
+        assert [m[:2] for m in moved.matches] == [m[:2] for m in base.matches]
+        np.testing.assert_allclose(
+            [m.weight for m in moved.matches], [m.weight for m in base.matches], atol=1e-12
+        )
+        np.testing.assert_allclose(moved.pose.rotation, base.pose.rotation, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            moved.pose.translation, base.pose.translation + shift, rtol=0, atol=1e-12
+        )
+
+
+def test_register_target_permutation_permutes_match_targets():
+    for params, pair in _desk_pairs(8):
+        perm = np.random.default_rng(1).permutation(len(pair.target))
+        base = register(params, pair.source, pair.target, METAMORPHIC_OPTS)
+        permuted = register(params, pair.source, pair.target[perm], METAMORPHIC_OPTS)
+        assert len(base.matches) > 0
+        # target row j of the permuted cloud is row perm[j] of the original
+        assert [(m.source, int(perm[m.target])) for m in permuted.matches] == [
+            (m.source, m.target) for m in base.matches
+        ]

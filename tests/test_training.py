@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from matchreg import training
+from matchreg.errors import NaNLoss
 from matchreg.features import init_net_params
 from matchreg.synth import SynthConfig, generate_dataset
 from matchreg.training import (
@@ -76,6 +78,25 @@ def test_training_loss_is_finite_and_logged():
     assert len(log.records) == 4
     for r in log.records:
         assert r["loss"] is not None and np.isfinite(r["loss"])
+
+
+def test_non_finite_gradient_raises_before_the_update(monkeypatch):
+    data = generate_dataset(EASY_SYNTH, 4)
+    real_gradient = training.end_to_end_gradient
+
+    def nan_gradient(*args, **kwargs):
+        res = real_gradient(*args, **kwargs)
+        res.param_grads[0]["weight"][0, 0] = np.nan
+        return res
+
+    def no_update(*args, **kwargs):
+        raise AssertionError("adam_step ran on a non-finite gradient")
+
+    monkeypatch.setattr(training, "end_to_end_gradient", nan_gradient)
+    monkeypatch.setattr(training, "adam_step", no_update)
+    with pytest.raises(NaNLoss) as exc:
+        train(quick_cfg(), data, small_params())
+    assert exc.value.iteration == 1
 
 
 def test_normalization_switch_changes_outputs_not_shapes():
