@@ -69,6 +69,11 @@ def _merged(args, parser_defaults: dict, file_values: dict, key: str):
     return parser_defaults[key]
 
 
+def _typed(get, keys: dict, reshaped: tuple[str, ...]) -> dict:
+    """Every key of ``keys`` not in ``reshaped``, merged by ``get`` and cast to its flag type."""
+    return {key: kind(get(key)) for key, (kind, _) in keys.items() if key not in reshaped}
+
+
 def _add_config_flags(p, keys: dict, defaults: dict, hidden: tuple[str, ...] = ()) -> None:
     """``--config`` and one flag per config key, typed and described by ``keys``.
 
@@ -108,6 +113,8 @@ GEN_KEYS = {
     "hpr_gamma": (float, "hidden-point-removal radius factor"),
     "translation_bound": (float, "uniform translation box half-width"),
 }
+# gen keys that SynthConfig takes in another form, or not at all
+GEN_RESHAPED = ("count", "rotation_max_deg", "scale_min", "scale_max", "shapes")
 
 _SYNTH = SynthConfig()
 GEN_DEFAULTS = {
@@ -133,17 +140,10 @@ def cmd_gen(args) -> int:
     rot_max = get("rotation_max_deg")
     try:
         cfg = SynthConfig(
-            m=int(get("m")),
-            n=int(get("n")),
-            noise_sigma=float(get("noise_sigma")),
-            outlier_fraction=float(get("outlier_fraction")),
-            outlier_bound=float(get("outlier_bound")),
+            **_typed(get, GEN_KEYS, GEN_RESHAPED),
             rotation_max_deg=None if rot_max is None else float(rot_max),
             scale_range=(float(get("scale_min")), float(get("scale_max"))),
             shapes=shapes,
-            hpr_gamma=float(get("hpr_gamma")),
-            translation_bound=float(get("translation_bound")),
-            seed=int(get("seed")),
         )
     except ValueError as err:
         raise ConfigError(str(err))
@@ -174,6 +174,8 @@ TRAIN_KEYS = {
     "knn_k": (int, "edge-feature neighborhood size"),
     "widths": (str, "comma list of layer widths"),
 }
+# training keys that TrainConfig takes in another form, or not at all
+TRAIN_RESHAPED = ("normalization", "knn_k", "widths")
 
 _TRAIN = TrainConfig()
 TRAIN_DEFAULTS = {
@@ -204,18 +206,8 @@ def _train_config_from(args, file_values) -> tuple[TrainConfig, int, tuple[int, 
         )
     try:
         cfg = TrainConfig(
-            learning_rate=float(get("learning_rate")),
-            batch_size=int(get("batch_size")),
-            iterations=int(get("iterations")),
-            lam=float(get("lam")),
-            sinkhorn_iters=int(get("sinkhorn_iters")),
-            eval_sinkhorn_iters=int(get("eval_sinkhorn_iters")),
+            **_typed(get, TRAIN_KEYS, TRAIN_RESHAPED),
             normalization=NORMALIZATION_CHOICES[norm_cli],
-            seed=int(get("seed")),
-            checkpoint_every=int(get("checkpoint_every")),
-            gt_thresh=float(get("gt_thresh")),
-            alpha=float(get("alpha")),
-            tau=float(get("tau")),
         )
         knn_k = int(get("knn_k"))
     except ValueError as err:

@@ -112,21 +112,20 @@ def init_net_params(
     rng: np.random.Generator,
     widths: Sequence[int] = DEFAULT_WIDTHS,
     knn_k: int = DEFAULT_KNN_K,
-    final_gain: float = DEFAULT_FINAL_GAIN,
 ) -> NetParams:
     """He-initialized network with the given per-layer output widths.
 
-    The last layer's batch-norm gain starts at ``final_gain`` rather than 1:
-    descriptor inner products grow with channel count, and unit-gain features
-    would saturate the assignment layer at its default temperature before
-    training can move the scores. The gain is learned freely afterwards.
+    The last layer's batch-norm gain starts at ``DEFAULT_FINAL_GAIN`` rather
+    than 1: descriptor inner products grow with channel count, and unit-gain
+    features would saturate the assignment layer at its default temperature
+    before training can move the scores. The gain is learned freely afterwards.
     """
     layers = []
     c_in = 3
     for li, w in enumerate(widths):
         fan_in = 2 * c_in
         weight = rng.standard_normal((w, fan_in)) * np.sqrt(2.0 / fan_in)
-        gain = final_gain if li == len(widths) - 1 else 1.0
+        gain = DEFAULT_FINAL_GAIN if li == len(widths) - 1 else 1.0
         layers.append(
             LayerParams(
                 weight=weight,
@@ -304,39 +303,35 @@ def batch_normalize(
     running_mean,
     running_var,
     mode: str = "train",
-    return_cache: bool = False,
-):
+) -> tuple[list[FeatureArray], BatchNormCache]:
     """Channel-wise normalization over all points of all batch instances.
 
-    Train mode uses (biased) batch statistics and returns running stats
-    updated with momentum 0.9; eval mode normalizes by the running stats.
-    Returns (outputs, new_running_mean, new_running_var), and with
-    ``return_cache`` also the ``BatchNormCache`` its backward needs.
+    Train mode uses the (biased) batch statistics; eval mode normalizes by
+    the running statistics. Returns the outputs and the ``BatchNormCache``
+    its backward needs, whose ``mean`` and ``var`` are the statistics used.
+    The running statistics are read, never updated: the training step folds
+    each sample's batch statistics into them (``fold_running_stats``).
     """
     if not batch:
         raise EmptyBatch("batch_normalize received no tensors")
     tensors = [np.asarray(t, dtype=np.float64) for t in batch]
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
-    rm = np.asarray(running_mean, dtype=np.float64)
-    rv = np.asarray(running_var, dtype=np.float64)
     if mode == "train":
         pooled = np.concatenate(tensors, axis=1)
         if pooled.shape[1] < 2:
             raise EmptyBatch("train-mode batch normalization needs at least 2 points")
         mean = pooled.mean(axis=1)
         var = pooled.var(axis=1)
-        new_rm, new_rv = fold_running_stats(rm, rv, [(mean, var)])
     elif mode == "eval":
-        mean, var = new_rm, new_rv = rm, rv
+        mean = np.asarray(running_mean, dtype=np.float64)
+        var = np.asarray(running_var, dtype=np.float64)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     std = np.sqrt(var + BN_EPS)
     z = [(t - mean[:, None]) / std[:, None] for t in tensors]
     outs = [gamma[:, None] * zt + beta[:, None] for zt in z]
-    if not return_cache:
-        return outs, new_rm, new_rv
-    return outs, new_rm, new_rv, BatchNormCache(mode, z, std, mean, var)
+    return outs, BatchNormCache(mode, z, std, mean, var)
 
 
 def _batch_normalize_backward(cache: BatchNormCache, gamma, grads):
@@ -396,7 +391,6 @@ class _LayerCache:
 class ForwardCache:
     knn: list[NDArray[np.int64]]   # (source, target) neighbor indices
     layers: list[_LayerCache]
-    mode: str
     normalization: str
 
 
@@ -410,8 +404,8 @@ def extract_features(
     """Run both clouds through the feature network with shared weights.
 
     Returns (C, M) and (C, N) descriptor arrays plus the cache consumed by
-    ``extract_features_backward``. Pure: running batch-norm statistics are
-    reported in the cache, never written back into ``params``.
+    ``extract_features_backward``. Pure: train-mode batch statistics are
+    reported in the cache (``bn.mean``, ``bn.var``), never folded into ``params``.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -425,15 +419,14 @@ def extract_features(
         )
     knn = [knn_indices(p, params.knn_k) for p in clouds]
     feats = [p.T.copy() for p in clouds]
-    cache = ForwardCache(knn=knn, layers=[], mode=mode, normalization=normalization)
+    cache = ForwardCache(knn=knn, layers=[], normalization=normalization)
 
     for lp in params.layers:
         edge, amax = zip(*[_edge_forward(f, idx) for f, idx in zip(feats, knn)])
         act = [lp.weight @ e + lp.bias[:, None] for e in edge]
         ux, uy, mn = match_normalize(act[0], act[1], normalization)
-        bn_out, _, _, bn = batch_normalize(
-            [ux, uy], lp.bn_gamma, lp.bn_beta, lp.bn_running_mean, lp.bn_running_var,
-            mode=mode, return_cache=True,
+        bn_out, bn = batch_normalize(
+            [ux, uy], lp.bn_gamma, lp.bn_beta, lp.bn_running_mean, lp.bn_running_var, mode=mode
         )
         relu_mask = [b > 0 for b in bn_out]
         feats = [np.where(m, b, 0.0) for m, b in zip(relu_mask, bn_out)]

@@ -28,13 +28,13 @@ _MAX_ROTATION_DEFECT = 1e-6
 _VIEWPOINT_EPS = 1e-9
 
 
-def as_points(arr, min_points: int = 1) -> Points:
+def as_points(arr) -> Points:
     """Validate and convert to an (N, 3) float64 point array."""
     pts = np.asarray(arr, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (N, 3) point array, got shape {pts.shape}")
-    if pts.shape[0] < min_points:
-        raise EmptyCloud(f"need at least {min_points} point(s), got {pts.shape[0]}")
+    if pts.shape[0] == 0:
+        raise EmptyCloud("need at least 1 point(s), got 0")
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite")
     return pts

@@ -145,8 +145,6 @@ class RegisterOptions:
     alpha: float = DEFAULT_ALPHA
     normalization: str = "match_norm"
     use_icp: bool = False
-    icp_max_iters: int = 50
-    icp_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,6 @@ class RegistrationResult:
     predicted_match_count: int
     converged: bool
     icp_iterations_used: int = 0
-    true_inlier_count: int | None = None  # filled by evaluation
     icp_residuals: tuple[float, ...] = field(default_factory=tuple)
 
 
@@ -187,7 +184,7 @@ def register(
     icp_iters = 0
     icp_residuals: tuple[float, ...] = ()
     if opts.use_icp:
-        refined = icp_refine(x, y, pose, max_iters=opts.icp_max_iters, tol=opts.icp_tol)
+        refined = icp_refine(x, y, pose)
         pose = refined.pose
         icp_iters = refined.iterations
         icp_residuals = refined.residuals

@@ -27,7 +27,15 @@ from .features import (
     extract_features_backward,
 )
 from .geometry import Points, Pose, apply_pose, as_points
-from .matching import augment_scores, score_map, sinkhorn_backward, sinkhorn_log
+from .matching import (
+    DEFAULT_ALPHA,
+    DEFAULT_LAMBDA,
+    DEFAULT_SINKHORN_ITERS,
+    augment_scores,
+    score_map,
+    sinkhorn_backward,
+    sinkhorn_log,
+)
 
 DEFAULT_GT_THRESHOLD = 0.02
 LOG_FLOOR = 1e-12
@@ -106,9 +114,6 @@ def nll_loss(assignment: NDArray[np.float64], gt: GtCorrespondence) -> LossValue
 class EndToEndResult:
     loss: float
     param_grads: list[dict[str, NDArray[np.float64]]]
-    input_grad_x: NDArray[np.float64]
-    input_grad_y: NDArray[np.float64]
-    assignment: NDArray[np.float64]
     bn_batch_stats: list[tuple[NDArray[np.float64], NDArray[np.float64]]]
 
 
@@ -117,9 +122,9 @@ def end_to_end_gradient(
     x: Points,
     y: Points,
     gt: GtCorrespondence,
-    lam: float = 0.5,
-    iters: int = 50,
-    alpha: float = 1.0,
+    lam: float = DEFAULT_LAMBDA,
+    iters: int = DEFAULT_SINKHORN_ITERS,
+    alpha: float = DEFAULT_ALPHA,
     normalization: str = "match_norm",
     mode: str = "train",
 ) -> EndToEndResult:
@@ -139,16 +144,9 @@ def end_to_end_gradient(
     d_scores = d_aug[:m, :n]
     d_fx = fy @ d_scores.T
     d_fy = fx @ d_scores
-    grads, d_x, d_y = extract_features_backward(params, cache, d_fx, d_fy)
+    grads, _, _ = extract_features_backward(params, cache, d_fx, d_fy)
     stats = [(lc.bn.mean, lc.bn.var) for lc in cache.layers]
-    return EndToEndResult(
-        loss=loss.value,
-        param_grads=grads,
-        input_grad_x=d_x,
-        input_grad_y=d_y,
-        assignment=assignment,
-        bn_batch_stats=stats,
-    )
+    return EndToEndResult(loss=loss.value, param_grads=grads, bn_batch_stats=stats)
 
 
 # ---------------------------------------------------------------------------

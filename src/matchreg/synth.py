@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptDataset, DegenerateView, ManifestNotFound
+from .errors import CorruptDataset, ManifestNotFound
 from .fileio import read_ply, write_ply
 from .geometry import (
     Points,
@@ -62,6 +62,10 @@ class SynthConfig:
         bad = [s for s in self.shapes if s not in SHAPE_KINDS]
         if bad:
             raise ValueError(f"unknown shape kind {bad[0]!r}")
+        if not self.noise_sigma >= 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not self.hpr_gamma > 0:
+            raise ValueError(f"hpr_gamma must be positive, got {self.hpr_gamma}")
         if not (0 <= self.outlier_fraction <= 1):
             raise ValueError("outlier_fraction must be in [0, 1]")
         if self.rotation_max_deg is not None and self.rotation_max_deg <= 0:
@@ -269,20 +273,10 @@ def generate_pair(cfg: SynthConfig, rng: np.random.Generator) -> PairSample:
 
     center = posed.mean(axis=0)
     radius = float(np.linalg.norm(posed - center, axis=1).max())
-    last_err: DegenerateView | None = None
-    visible = None
-    for _ in range(10):
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        viewpoint = center + cfg.viewpoint_distance_factor * radius * direction
-        try:
-            visible = hidden_point_removal(posed, viewpoint, gamma=cfg.hpr_gamma)
-            break
-        except DegenerateView as err:  # pragma: no cover - needs contrived inputs
-            last_err = err
-    if visible is None:  # pragma: no cover
-        raise last_err
-    vis_pts = posed[visible]
+    direction = rng.standard_normal(3)
+    direction /= np.linalg.norm(direction)
+    viewpoint = center + cfg.viewpoint_distance_factor * radius * direction
+    vis_pts = posed[hidden_point_removal(posed, viewpoint, gamma=cfg.hpr_gamma)]
 
     if len(vis_pts) >= cfg.n:
         sel = rng.choice(len(vis_pts), cfg.n, replace=False)

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import EmptyGroundTruth, EmptyInput, NaNLoss
-from .features import LayerParams, NetParams, fold_running_stats, save_checkpoint
+from .features import NetParams, fold_running_stats, save_checkpoint
 from .matching import (
     DEFAULT_ALPHA,
     DEFAULT_LAMBDA,
@@ -37,7 +37,7 @@ from .metrics import (
     translation_error,
 )
 from .solver import RegisterOptions, register
-from .supervision import build_gt_matrix, end_to_end_gradient
+from .supervision import DEFAULT_GT_THRESHOLD, build_gt_matrix, end_to_end_gradient
 from .synth import PairSample
 
 LEARNABLE_FIELDS = ("weight", "bias", "bn_gamma", "bn_beta")
@@ -54,7 +54,7 @@ class TrainConfig:
     normalization: str = "match_norm"
     seed: int = 0
     checkpoint_every: int = 200
-    gt_thresh: float = 0.02
+    gt_thresh: float = DEFAULT_GT_THRESHOLD
     alpha: float = DEFAULT_ALPHA
     tau: float = DEFAULT_MATCH_THRESHOLD
     adam_beta1: float = 0.9
@@ -62,8 +62,8 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not self.learning_rate >= 0:  # rejects NaN too
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.iterations < 1:
@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError("eval_sinkhorn_iters must be >= 1")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
+        if not self.gt_thresh > 0:
+            raise ValueError(f"gt_thresh must be positive, got {self.gt_thresh}")
 
 
 @dataclass
@@ -134,13 +136,7 @@ def adam_step(
             m_hat = state.m[li][name] / (1 - b1**t)
             v_hat = state.v[li][name] / (1 - b2**t)
             updates[name] = getattr(lp, name) - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        new_layers.append(
-            LayerParams(
-                **updates,
-                bn_running_mean=lp.bn_running_mean,
-                bn_running_var=lp.bn_running_var,
-            )
-        )
+        new_layers.append(replace(lp, **updates))
     return NetParams(layers=tuple(new_layers), knn_k=params.knn_k), state
 
 

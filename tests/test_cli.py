@@ -76,6 +76,23 @@ def test_gen_zero_count(tmp_path, capsys):
     assert "count must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--noise-sigma", "-1", "noise_sigma"),
+        ("--noise-sigma", "nan", "noise_sigma"),
+        ("--hpr-gamma", "-1", "hpr_gamma"),
+        ("--hpr-gamma", "0", "hpr_gamma"),
+    ],
+)
+def test_gen_bad_config_exits_2_before_writing(tmp_path, capsys, flag, value, key):
+    out = tmp_path / "d"
+    code = run(["gen", "--out", str(out), "--count", "2", *GEN_FAST, flag, value])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_flag_overrides_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"count": 2, "m": 48, "n": 24, "hpr_gamma": 10000.0,
@@ -118,6 +135,9 @@ def test_train_smoke_and_log_header(tmp_path, tiny_dataset):
         ("--widths", ",", "widths"),
         ("--widths", "8,x", "widths"),
         ("--widths", "8,0", "widths"),
+        ("--gt-thresh", "0", "gt_thresh"),
+        ("--learning-rate", "-1", "learning_rate"),
+        ("--learning-rate", "nan", "learning_rate"),
     ],
 )
 def test_train_bad_config_exits_2_before_loading_data(tmp_path, capsys, flag, value, key):

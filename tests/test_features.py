@@ -11,6 +11,7 @@ from matchreg.features import (
     batch_normalize,
     extract_features,
     extract_features_backward,
+    fold_running_stats,
     init_net_params,
     knn_indices,
     load_checkpoint,
@@ -187,18 +188,19 @@ def test_match_normalize_floor_on_zeros():
 
 def test_bn_eval_identity():
     t = np.random.default_rng(5).standard_normal((4, 11))
-    outs, rm, rv = batch_normalize(
+    outs, cache = batch_normalize(
         [t], np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), mode="eval"
     )
     np.testing.assert_allclose(outs[0], t / np.sqrt(1 + 1e-5), rtol=1e-12)
-    np.testing.assert_array_equal(rm, np.zeros(4))
+    np.testing.assert_array_equal(cache.mean, np.zeros(4))
+    np.testing.assert_array_equal(cache.var, np.ones(4))
 
 
 def test_bn_train_standardizes():
     rng = np.random.default_rng(6)
     # large channel variance so the 1e-5 epsilon is negligible
     batch = [100.0 * rng.standard_normal((3, 40)), 100.0 * rng.standard_normal((3, 25))]
-    outs, _, _ = batch_normalize(
+    outs, _ = batch_normalize(
         batch, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), mode="train"
     )
     pooled = np.concatenate(outs, axis=1)
@@ -209,9 +211,10 @@ def test_bn_train_standardizes():
 def test_bn_single_instance_stats():
     rng = np.random.default_rng(7)
     t = rng.standard_normal((2, 15))
-    _, rm, rv = batch_normalize(
+    _, cache = batch_normalize(
         [t], np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), mode="train"
     )
+    rm, rv = fold_running_stats(np.zeros(2), np.ones(2), [(cache.mean, cache.var)])
     np.testing.assert_allclose(rm, 0.1 * t.mean(axis=1), rtol=1e-12)
     np.testing.assert_allclose(rv, 0.9 + 0.1 * t.var(axis=1), rtol=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matchreg.errors import EmptyGroundTruth, ShapeMismatch
-from matchreg.features import init_net_params
+from matchreg.features import NORMALIZATION_MODES, init_net_params
 from matchreg.geometry import Pose, apply_pose, random_rotation_uniform
 from matchreg.supervision import (
     build_gt_matrix,
@@ -171,14 +171,17 @@ def test_e2e_gradients_finite_over_seeds():
                 assert np.all(np.isfinite(v))
 
 
-def test_e2e_gradient_matches_fd():
+@pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
+def test_e2e_gradient_matches_fd(normalization):
     from test_features import perturbed
 
     params, x, y, gt = e2e_setup(7)
-    res = end_to_end_gradient(params, x, y, gt, lam=0.5, iters=20)
+    res = end_to_end_gradient(params, x, y, gt, lam=0.5, iters=20, normalization=normalization)
 
     def loss_of(p):
-        return end_to_end_gradient(p, x, y, gt, lam=0.5, iters=20).loss
+        return end_to_end_gradient(
+            p, x, y, gt, lam=0.5, iters=20, normalization=normalization
+        ).loss
 
     h = 1e-6
     rng = np.random.default_rng(8)
