@@ -16,6 +16,9 @@ from .errors import MatchregError
 from .features import (
     NetParams,
     LayerParams,
+    SourceEncoding,
+    encode_source,
+    encode_target,
     extract_features,
     extract_features_backward,
     init_net_params,

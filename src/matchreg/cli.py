@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +130,10 @@ GEN_DEFAULTS = {
 def cmd_gen(args) -> int:
     file_values = _load_config_file(args.config, GEN_KEYS) if args.config else {}
     get = lambda key: _merged(args, GEN_DEFAULTS, file_values, key)
-    count = int(get("count"))
+    try:
+        count = int(get("count"))
+    except ValueError as err:
+        raise ConfigError(f"count must be an integer: {err}", key="count")
     if count < 1:
         raise ConfigError("count must be >= 1", key="count")
     shapes_raw = get("shapes")
@@ -242,22 +246,34 @@ def cmd_train(args) -> int:
 # register
 # ---------------------------------------------------------------------------
 
-def _register_options(args, normalization: str) -> RegisterOptions:
-    return RegisterOptions(
-        lam=args.lam,
-        sinkhorn_iters=args.sinkhorn_iters,
-        tau=args.tau,
-        alpha=args.alpha,
-        normalization=normalization,
-        use_icp=args.icp,
-    )
+def _register_options(args) -> RegisterOptions:
+    """The matching flags as ``RegisterOptions``, checked before any file is read.
+
+    The normalization is the checkpoint's; it is filled in once that is loaded.
+    """
+    try:
+        return RegisterOptions(
+            lam=args.lam,
+            sinkhorn_iters=args.sinkhorn_iters,
+            tau=args.tau,
+            alpha=args.alpha,
+            use_icp=args.icp,
+        )
+    except ValueError as err:
+        raise ConfigError(str(err))
+
+
+def _check_inlier_thresh(value: float) -> None:
+    if not value > 0:  # rejects NaN too
+        raise ConfigError(f"inlier_thresh must be positive, got {value}", key="inlier_thresh")
 
 
 def cmd_register(args) -> int:
+    opts = _register_options(args)
     params, normalization = load_checkpoint(args.model)
     source = read_ply(args.source)
     target = read_ply(args.target)
-    result = register(params, source, target, _register_options(args, normalization))
+    result = register(params, source, target, replace(opts, normalization=normalization))
     print(f"converged: {result.converged}")
     print(f"matches: {result.predicted_match_count}")
     print("rotation:")
@@ -297,6 +313,8 @@ def _parse_thresholds(raw: str) -> tuple[list[str], list[float]]:
 
 
 def cmd_eval(args) -> int:
+    opts = _register_options(args)
+    _check_inlier_thresh(args.inlier_thresh)
     params, normalization = load_checkpoint(args.model)
     samples, _ = read_dataset(args.data)
     if not samples:
@@ -306,7 +324,7 @@ def cmd_eval(args) -> int:
     report = evaluate_dataset(
         params,
         samples,
-        _register_options(args, normalization),
+        replace(opts, normalization=normalization),
         rot_thresholds=rot_thresholds,
         trans_thresholds=trans_thresholds,
         inlier_thresh=args.inlier_thresh,
@@ -334,10 +352,9 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ablate(args) -> int:
-    from dataclasses import replace
-
     file_values = _load_config_file(args.config, TRAIN_KEYS) if args.config else {}
     cfg, knn_k, widths = _train_config_from(args, file_values)
+    _check_inlier_thresh(args.inlier_thresh)
     for mode in (args.mode_a, args.mode_b):
         if mode not in NORMALIZATION_CHOICES:
             raise ConfigError(f"unknown normalization {mode!r}")

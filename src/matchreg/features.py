@@ -4,7 +4,8 @@ The network is a stack of edge-feature blocks: for every point, concatenate
 its feature with the max over its k nearest neighbors of the feature
 differences, apply a linear map, then Match Normalization, then batch
 normalization, then ReLU. Features are stored as (C, M) arrays, one column
-per point; each per-cloud step runs once over the (source, target) pair.
+per point; each step is written once (``_layer_forward``) and runs over one
+or two clouds.
 
 Match Normalization centers the source and target activations separately
 but divides both by one scale, the largest absolute raw source activation.
@@ -12,6 +13,11 @@ Because the source cloud is complete and outlier-free, its scale is stable,
 and sharing it keeps the two activation distributions aligned. The
 ablation modes (``per_instance_norm``, ``none``) take the same path,
 ``match_normalize``; batch norm is ``batch_normalize`` in either mode.
+
+Train mode runs each layer over the (source, target) pair, because batch
+norm pools both clouds. Eval mode runs one cloud at a time: the source
+alone (``encode_source``), then the target against the source's per-layer
+scales (``encode_target``), so one model encoding serves many views.
 
 Forward passes record everything needed for an exact analytic backward
 (``extract_features_backward``), including the max-pool argmax slots and
@@ -22,7 +28,7 @@ finite differences to first order away from ties.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from pathlib import Path
 from typing import Literal, Sequence, TypeAlias
@@ -200,24 +206,35 @@ def knn_indices(pc: Points, k: int) -> NDArray[np.int64]:
 
 @dataclass(frozen=True)
 class MatchNormStats:
-    """What ``match_normalize`` subtracted and divided by, per cloud.
+    """What ``match_normalize`` subtracted and divided by, one entry per cloud.
 
-    ``beta`` divides the source and ``beta_y`` the target. ``scale_at``
-    holds per cloud the flat index of the |activation| entry that set the
-    cloud's own scale, where the scale's gradient goes; None when the cloud
-    sets no scale or its scale was floored.
+    Entries follow the clouds as given, source first. ``scale_at`` holds
+    the flat index of the |activation| entry that set a cloud's own scale,
+    where the scale's gradient goes; None when the cloud sets no scale of
+    its own or its scale was floored.
     """
 
-    mu_x: NDArray[np.float64]
-    mu_y: NDArray[np.float64]
-    beta: float
-    beta_y: float
-    scale_at: tuple[int | None, int | None]
+    mu: tuple[NDArray[np.float64], ...]
+    scale: tuple[float, ...]
+    scale_at: tuple[int | None, ...]
+
+    @property
+    def beta(self) -> float:
+        """The scale dividing the first cloud given: the source scale."""
+        return self.scale[0]
+
+
+def _check_normalization(normalization: str) -> None:
+    if normalization not in NORMALIZATION_MODES:
+        raise ValueError(f"unknown normalization {normalization!r}")
 
 
 def match_normalize(
-    o_x: FeatureArray, o_y: FeatureArray, normalization: str = "match_norm"
-) -> tuple[FeatureArray, FeatureArray, MatchNormStats]:
+    o_x: FeatureArray,
+    o_y: FeatureArray | None = None,
+    normalization: str = "match_norm",
+    beta: float | None = None,
+):
     """Center each cloud's activations, divide both by the source scale.
 
     A scale is max |a| over all raw entries of a cloud, floored at 1e-8 so
@@ -225,24 +242,39 @@ def match_normalize(
     scale comes from: ``match_norm`` divides both clouds by the source's,
     ``per_instance_norm`` divides each cloud by its own, and ``none`` passes
     both through unchanged (zero means, unit scales).
+
+    Called with one cloud (``o_y`` None) it normalizes that cloud alone:
+    a source when ``beta`` is None, else a target whose source scale is
+    ``beta``, which only ``match_norm`` divides by. Returns one output per
+    cloud given, then the ``MatchNormStats``.
     """
-    ax = np.asarray(o_x, dtype=np.float64)
-    ay = np.asarray(o_y, dtype=np.float64)
-    if ax.ndim != 2 or ay.ndim != 2:
+    clouds = [np.asarray(o_x, dtype=np.float64)]
+    if o_y is not None:
+        if beta is not None:
+            raise ValueError("beta is given only with a target alone")
+        clouds.append(np.asarray(o_y, dtype=np.float64))
+    if any(a.ndim != 2 for a in clouds):
         raise ValueError("feature tensors must be 2-D (channels, points)")
-    if ax.shape[0] != ay.shape[0]:
-        raise ChannelMismatch(f"channel counts differ: {ax.shape[0]} vs {ay.shape[0]}")
-    if normalization not in NORMALIZATION_MODES:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    if len(clouds) == 2 and clouds[0].shape[0] != clouds[1].shape[0]:
+        raise ChannelMismatch(
+            f"channel counts differ: {clouds[0].shape[0]} vs {clouds[1].shape[0]}"
+        )
+    _check_normalization(normalization)
     if normalization == "none":
-        return ax, ay, MatchNormStats(np.zeros(len(ax)), np.zeros(len(ay)), 1.0, 1.0, (None, None))
-    beta_x, at_x = _scale(ax)
-    beta_y, at_y = (beta_x, None) if normalization == "match_norm" else _scale(ay)
-    mu_x = ax.mean(axis=1)
-    mu_y = ay.mean(axis=1)
-    ox = (ax - mu_x[:, None]) / beta_x
-    oy = (ay - mu_y[:, None]) / beta_y
-    return ox, oy, MatchNormStats(mu_x, mu_y, beta_x, beta_y, (at_x, at_y))
+        zeros = tuple(np.zeros(len(a)) for a in clouds)
+        return (*clouds, MatchNormStats(zeros, (1.0,) * len(clouds), (None,) * len(clouds)))
+    shared = beta if normalization == "match_norm" else None
+    outs, mus, scales, at = [], [], [], []
+    for a in clouds:
+        scale, i = _scale(a) if shared is None else (shared, None)
+        if normalization == "match_norm":
+            shared = scale  # the source scale divides the target too
+        mu = a.mean(axis=1)
+        outs.append((a - mu[:, None]) / scale)
+        mus.append(mu)
+        scales.append(scale)
+        at.append(i)
+    return (*outs, MatchNormStats(tuple(mus), tuple(scales), tuple(at)))
 
 
 def _scale(a: FeatureArray) -> tuple[float, int | None]:
@@ -262,14 +294,13 @@ def _match_normalize_backward(g, act, out, stats: MatchNormStats, normalization:
     """
     if normalization == "none":
         return list(g)
-    betas = (stats.beta, stats.beta_y)
-    da = [(gc - gc.mean(axis=1, keepdims=True)) / b for gc, b in zip(g, betas)]
+    da = [(gc - gc.mean(axis=1, keepdims=True)) / b for gc, b in zip(g, stats.scale)]
     dots = [float((gc * oc).sum()) for gc, oc in zip(g, out)]
     if normalization == "match_norm":  # the source scale divides both clouds
         dots[0] += dots[1]
     for c, i in enumerate(stats.scale_at):
         if i is not None:
-            da[c].flat[i] += -dots[c] / betas[c] * np.sign(act[c].flat[i])
+            da[c].flat[i] += -dots[c] / stats.scale[c] * np.sign(act[c].flat[i])
     return da
 
 
@@ -376,7 +407,7 @@ def _edge_backward(d_edge, idx, amax, c_in):
 
 @dataclass
 class _LayerCache:
-    """One layer's forward state; each list holds the (source, target) pair."""
+    """One layer's forward state; each list holds one entry per cloud, source first."""
 
     edge: list[FeatureArray]
     amax: list[NDArray[np.int64]]
@@ -394,6 +425,103 @@ class ForwardCache:
     normalization: str
 
 
+def _layer_forward(lp: LayerParams, feats, knn, mode: str, normalization: str, beta=None):
+    """One edge-feature block over the (source, target) pair or over one cloud.
+
+    ``beta`` is the source's scale at this layer when ``feats`` holds a
+    target alone. Returns the block's outputs and its ``_LayerCache``.
+    """
+    edge, amax = zip(*[_edge_forward(f, idx) for f, idx in zip(feats, knn)])
+    act = [lp.weight @ e + lp.bias[:, None] for e in edge]
+    *mn_out, mn = match_normalize(*act, normalization=normalization, beta=beta)
+    bn_out, bn = batch_normalize(
+        mn_out, lp.bn_gamma, lp.bn_beta, lp.bn_running_mean, lp.bn_running_var, mode=mode
+    )
+    relu_mask = [b > 0 for b in bn_out]
+    outs = [np.where(m, b, 0.0) for m, b in zip(relu_mask, bn_out)]
+    return outs, _LayerCache(list(edge), list(amax), act, mn_out, mn, bn, relu_mask)
+
+
+def _eval_pass(params: NetParams, points: Points, normalization: str, betas=None, caches=None):
+    """One cloud through the network in eval mode.
+
+    The cloud is a source when ``betas`` is None, else a target whose
+    source has the per-layer scales ``betas``. Returns the kNN graph, each
+    layer's output and each layer's scale; each layer's ``_LayerCache`` is
+    appended to ``caches`` when a list is given.
+    """
+    pts = as_points(points)
+    knn = knn_indices(pts, params.knn_k)
+    feats = [pts.T.copy()]
+    outputs, scales = [], []
+    for li, lp in enumerate(params.layers):
+        beta = None if betas is None else betas[li]
+        feats, lc = _layer_forward(lp, feats, [knn], "eval", normalization, beta)
+        outputs.append(feats[0])
+        scales.append(lc.mn.scale[0])
+        if caches is not None:
+            caches.append(lc)
+    return knn, outputs, scales
+
+
+@dataclass(frozen=True)
+class SourceEncoding:
+    """A source cloud's eval-mode pass through the network, for any target.
+
+    In eval mode batch norm reads only its running statistics, so the
+    source branch never reads the target, and a target needs of its source
+    only the per-layer scale ``betas`` (``match_norm``; the other modes
+    need nothing). One encoding therefore serves every view of a model.
+    It belongs to the ``NetParams`` and the normalization it was made with.
+    """
+
+    normalization: str
+    knn: NDArray[np.int64]                  # (M, k) neighbor indices
+    features: tuple[FeatureArray, ...]      # each layer's (C_l, M) output
+    betas: tuple[float, ...]                # each layer's source scale
+
+    @property
+    def descriptors(self) -> FeatureArray:
+        """The (C, M) source descriptors: the last layer's output."""
+        return self.features[-1]
+
+
+def encode_source(
+    params: NetParams, x: Points, normalization: str = "match_norm"
+) -> SourceEncoding:
+    """Encode a source cloud once, to match any number of targets against.
+
+    ``encode_target(params, enc, y)`` with ``enc = encode_source(params, x,
+    normalization)`` gives ``extract_features(params, x, y, mode="eval",
+    normalization=normalization)``'s target descriptors, byte for byte,
+    and ``enc.descriptors`` its source descriptors. Eval mode only: in
+    train mode batch norm pools both clouds at every layer.
+    """
+    _check_normalization(normalization)
+    knn, outputs, scales = _eval_pass(params, x, normalization)
+    return SourceEncoding(normalization, knn, tuple(outputs), tuple(scales))
+
+
+def encode_target(params: NetParams, source: SourceEncoding, y: Points) -> FeatureArray:
+    """The (C, N) eval-mode descriptors of target ``y`` against an encoded source."""
+    return _eval_pass(params, y, source.normalization, source.betas)[1][-1]
+
+
+def _join(src: _LayerCache, tgt: _LayerCache) -> _LayerCache:
+    """A source's and a target's one-cloud layer states as one pair state."""
+    return _LayerCache(
+        edge=src.edge + tgt.edge,
+        amax=src.amax + tgt.amax,
+        act=src.act + tgt.act,
+        mn_out=src.mn_out + tgt.mn_out,
+        mn=MatchNormStats(
+            src.mn.mu + tgt.mn.mu, src.mn.scale + tgt.mn.scale, src.mn.scale_at + tgt.mn.scale_at
+        ),
+        bn=replace(src.bn, z=src.bn.z + tgt.bn.z),
+        relu_mask=src.relu_mask + tgt.relu_mask,
+    )
+
+
 def extract_features(
     params: NetParams,
     x: Points,
@@ -406,38 +534,36 @@ def extract_features(
     Returns (C, M) and (C, N) descriptor arrays plus the cache consumed by
     ``extract_features_backward``. Pure: train-mode batch statistics are
     reported in the cache (``bn.mean``, ``bn.var``), never folded into ``params``.
+
+    Train mode runs each layer over the pair, because batch norm pools
+    both clouds. Eval mode is the source's pass of ``encode_source`` and
+    the target's pass of ``encode_target``, the target reading only the
+    source's per-layer scales; to match many targets against one source,
+    encode the source once instead.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    if normalization not in NORMALIZATION_MODES:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    _check_normalization(normalization)
     clouds = [as_points(x), as_points(y)]
     if any(p.shape[0] <= params.knn_k for p in clouds):
         raise TooFewPoints(
             f"cloud sizes ({clouds[0].shape[0]}, {clouds[1].shape[0]}) "
             f"must exceed knn_k={params.knn_k}"
         )
+    if mode == "eval":
+        src, tgt = [], []
+        knn_x, fx, betas = _eval_pass(params, clouds[0], normalization, caches=src)
+        knn_y, fy, _ = _eval_pass(params, clouds[1], normalization, betas, caches=tgt)
+        layers = [_join(s, t) for s, t in zip(src, tgt)]
+        return fx[-1], fy[-1], ForwardCache([knn_x, knn_y], layers, normalization)
+
     knn = [knn_indices(p, params.knn_k) for p in clouds]
     feats = [p.T.copy() for p in clouds]
-    cache = ForwardCache(knn=knn, layers=[], normalization=normalization)
-
+    layers = []
     for lp in params.layers:
-        edge, amax = zip(*[_edge_forward(f, idx) for f, idx in zip(feats, knn)])
-        act = [lp.weight @ e + lp.bias[:, None] for e in edge]
-        ux, uy, mn = match_normalize(act[0], act[1], normalization)
-        bn_out, bn = batch_normalize(
-            [ux, uy], lp.bn_gamma, lp.bn_beta, lp.bn_running_mean, lp.bn_running_var, mode=mode
-        )
-        relu_mask = [b > 0 for b in bn_out]
-        feats = [np.where(m, b, 0.0) for m, b in zip(relu_mask, bn_out)]
-        cache.layers.append(
-            _LayerCache(
-                edge=list(edge), amax=list(amax), act=act, mn_out=[ux, uy], mn=mn,
-                bn=bn, relu_mask=relu_mask,
-            )
-        )
-
-    return feats[0], feats[1], cache
+        feats, lc = _layer_forward(lp, feats, knn, mode, normalization)
+        layers.append(lc)
+    return feats[0], feats[1], ForwardCache(knn, layers, normalization)
 
 
 def extract_features_backward(

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateMatches
-from .features import NetParams, extract_features
+from .features import NetParams, SourceEncoding, encode_source, encode_target
 from .geometry import Points, Pose, apply_pose, as_points
 from .matching import (
     DEFAULT_ALPHA,
@@ -146,6 +146,14 @@ class RegisterOptions:
     normalization: str = "match_norm"
     use_icp: bool = False
 
+    def __post_init__(self):
+        if not self.lam > 0:  # rejects NaN too
+            raise ValueError(f"lam must be positive, got {self.lam}")
+        if self.sinkhorn_iters < 1:
+            raise ValueError(f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
+        if not 0.0 < self.tau < 1.0:
+            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
+
 
 @dataclass(frozen=True)
 class RegistrationResult:
@@ -162,12 +170,19 @@ def register(
     x: Points,
     y: Points,
     opts: RegisterOptions = RegisterOptions(),
+    source: SourceEncoding | None = None,
 ) -> RegistrationResult:
-    """Full pipeline pose estimate for a source/target cloud pair."""
-    fx, fy, _ = extract_features(
-        params, x, y, mode="eval", normalization=opts.normalization
-    )
-    scores = score_map(fx, fy)
+    """Full pipeline pose estimate for a source/target cloud pair.
+
+    ``source`` is ``encode_source(params, x, opts.normalization)``, made
+    once to register many views of one model; it is made here when None.
+    The result is the same either way.
+    """
+    if source is None:
+        source = encode_source(params, x, opts.normalization)
+    elif source.normalization != opts.normalization or len(source.knn) != len(x):
+        raise ValueError("the source encoding was made for another source or normalization")
+    scores = score_map(source.descriptors, encode_target(params, source, y))
     assignment = sinkhorn_log(
         augment_scores(scores, alpha=opts.alpha), lam=opts.lam, iters=opts.sinkhorn_iters
     )

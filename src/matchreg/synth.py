@@ -68,6 +68,8 @@ class SynthConfig:
             raise ValueError(f"hpr_gamma must be positive, got {self.hpr_gamma}")
         if not (0 <= self.outlier_fraction <= 1):
             raise ValueError("outlier_fraction must be in [0, 1]")
+        if not self.outlier_bound >= 0:
+            raise ValueError(f"outlier_bound must be >= 0, got {self.outlier_bound}")
         if self.rotation_max_deg is not None and self.rotation_max_deg <= 0:
             raise ValueError("rotation_max_deg must be positive or None")
 

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import EmptyGroundTruth, EmptyInput, NaNLoss
-from .features import NetParams, fold_running_stats, save_checkpoint
+from .features import NetParams, encode_source, fold_running_stats, save_checkpoint
 from .matching import (
     DEFAULT_ALPHA,
     DEFAULT_LAMBDA,
@@ -169,20 +169,27 @@ def evaluate_dataset(
     rotation_keys: list[str] | None = None,
     translation_keys: list[str] | None = None,
 ) -> MetricsReport:
-    """Register every sample and aggregate the standard metric tables."""
+    """Register every sample and aggregate the standard metric tables.
+
+    A source equal to the previous sample's is not measured or encoded
+    again: its diameter and its ``encode_source`` encoding are reused, so a
+    dataset of many views of one model encodes the model once per run of
+    views. The oracle scores the ground-truth poses and encodes nothing.
+    """
     if not samples:
         raise EmptyInput("no samples to evaluate")
     records = []
-    previous_source, diameter = None, 0.0
+    previous_source, diameter, encoding = None, 0.0, None
     for s in samples:
+        if not np.array_equal(s.source, previous_source):
+            previous_source, diameter = s.source, model_diameter(s.source)
+            encoding = None if oracle else encode_source(params, s.source, opts.normalization)
         if oracle:
             pose, matches, icp_iters, converged = s.gt_pose, (), 0, True
         else:
-            result = register(params, s.source, s.target, opts)
+            result = register(params, s.source, s.target, opts, source=encoding)
             pose, matches = result.pose, result.matches
             icp_iters, converged = result.icp_iterations_used, result.converged
-        if not np.array_equal(s.source, previous_source):
-            previous_source, diameter = s.source, model_diameter(s.source)
         add_mean, add_pass = add_score(s.source, pose, s.gt_pose, diameter)
         records.append(
             {

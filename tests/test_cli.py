@@ -83,11 +83,21 @@ def test_gen_zero_count(tmp_path, capsys):
         ("--noise-sigma", "nan", "noise_sigma"),
         ("--hpr-gamma", "-1", "hpr_gamma"),
         ("--hpr-gamma", "0", "hpr_gamma"),
+        ("--outlier-bound", "-5", "outlier_bound"),
+        ("--outlier-bound", "nan", "outlier_bound"),
+        ("count", "x", "count"),  # a config file value, not a flag
     ],
 )
 def test_gen_bad_config_exits_2_before_writing(tmp_path, capsys, flag, value, key):
+    file_values = {"count": 2}
+    if flag.startswith("--"):
+        extra = [flag, value]
+    else:
+        file_values[flag], extra = value, []
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_values))
     out = tmp_path / "d"
-    code = run(["gen", "--out", str(out), "--count", "2", *GEN_FAST, flag, value])
+    code = run(["gen", "--out", str(out), "--config", str(cfg), *GEN_FAST, *extra])
     assert code == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
@@ -237,6 +247,37 @@ def test_register_malformed_ply(tmp_path, tiny_model, capsys):
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "command, flag, value, key",
+    [
+        ("eval", "--lam", "0", "lam"),
+        ("eval", "--lam", "nan", "lam"),
+        ("eval", "--sinkhorn-iters", "0", "sinkhorn_iters"),
+        ("eval", "--tau", "1.5", "tau"),
+        ("eval", "--tau", "0", "tau"),
+        ("eval", "--inlier-thresh", "-1", "inlier_thresh"),
+        ("eval", "--inlier-thresh", "nan", "inlier_thresh"),
+        ("register", "--lam", "-1", "lam"),
+        ("register", "--sinkhorn-iters", "0", "sinkhorn_iters"),
+        ("register", "--tau", "1.5", "tau"),
+        ("ablate", "--inlier-thresh", "0", "inlier_thresh"),
+    ],
+)
+def test_matching_flags_exit_2_before_reading_files(tmp_path, capsys, command, flag, value, key):
+    # no input file exists, so a missing file would exit 1: only an
+    # up-front check can exit 2 and name the flag
+    missing = str(tmp_path / "nope")
+    inputs = {
+        "eval": ["--model", missing, "--data", missing],
+        "register": ["--model", missing, "--source", missing, "--target", missing],
+        "ablate": ["--data", missing, "--holdout", missing],
+    }[command]
+    assert run([command, *inputs]) == 1
+    capsys.readouterr()
+    assert run([command, *inputs, flag, value]) == 2
+    assert key in capsys.readouterr().err
+
 
 def test_eval_oracle_is_perfect(tmp_path, tiny_model, tiny_dataset):
     out = tmp_path / "report.json"

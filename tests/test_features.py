@@ -1,5 +1,7 @@
 """Feature network tests: kNN, Match Normalization, batch norm, gradients."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from matchreg.features import (
     LayerParams,
     NetParams,
     batch_normalize,
+    encode_source,
+    encode_target,
     extract_features,
     extract_features_backward,
     fold_running_stats,
@@ -137,8 +141,8 @@ def test_knn_tie_across_slot_k_is_queried_again(monkeypatch):
 
 def test_match_normalize_hand_case():
     ox, oy, stats = match_normalize(np.array([[1.0, 3.0]]), np.array([[2.0, 6.0]]))
-    np.testing.assert_allclose(stats.mu_x, [2.0])
-    np.testing.assert_allclose(stats.mu_y, [4.0])
+    np.testing.assert_allclose(stats.mu[0], [2.0])
+    np.testing.assert_allclose(stats.mu[1], [4.0])
     assert stats.beta == 3.0
     np.testing.assert_allclose(ox, [[-1 / 3, 1 / 3]])
     np.testing.assert_allclose(oy, [[-2 / 3, 2 / 3]])
@@ -282,6 +286,109 @@ def test_forward_too_few_points():
     params = small_net(k=5)
     with pytest.raises(TooFewPoints):
         extract_features(params, np.zeros((5, 3)), np.ones((9, 3)))
+
+
+# ---------------------------------------------------------------------------
+# Source encoding (eval mode)
+# ---------------------------------------------------------------------------
+
+DESK_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json"
+NORMALIZATIONS = ["match_norm", "per_instance_norm", "none"]
+
+
+def eval_net(kind):
+    """The desk checkpoint's trained network, or a random one of the same shape."""
+    if kind == "desk":
+        return load_checkpoint(DESK_CHECKPOINT)[0]
+    return init_net_params(np.random.default_rng(12))
+
+
+def model_and_view(m, n, seed):
+    """A model cloud and a posed, noisy partial view of it."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.5, 0.5, (m, 3))
+    pose = Pose(random_rotation_uniform(rng), rng.uniform(-0.5, 0.5, 3))
+    y = apply_pose(pose, x[rng.choice(m, n, replace=False)]) + 0.005 * rng.standard_normal((n, 3))
+    return x, y
+
+
+def joint_eval_forward(params, x, y, normalization):
+    """Both clouds through each layer together, as train mode runs them, in eval mode."""
+    knn = [knn_indices(p, params.knn_k) for p in (x, y)]
+    feats = [x.T.copy(), y.T.copy()]
+    for lp in params.layers:
+        feats, _ = features._layer_forward(lp, feats, knn, "eval", normalization)
+    return feats
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("normalization", NORMALIZATIONS)
+def test_eval_source_descriptors_ignore_the_target(normalization):
+    """In eval mode the source branch reads nothing of the target.
+
+    Encoding a model once for many views rests on this. Train mode has no
+    such property: its batch norm pools both clouds at every layer.
+    """
+    params = eval_net("random")
+    x, y1 = model_and_view(60, 40, seed=30)
+    _, y2 = model_and_view(60, 25, seed=31)
+    y2 = 3.0 * y2 + 1.0
+    fx1, fy1, c1 = extract_features(params, x, y1, mode="eval", normalization=normalization)
+    fx2, fy2, c2 = extract_features(params, x, y2, mode="eval", normalization=normalization)
+    assert same_bytes(fx1, fx2)
+    assert [lc.mn.beta for lc in c1.layers] == [lc.mn.beta for lc in c2.layers]
+    assert fy1.shape != fy2.shape
+    tx1, _, _ = extract_features(params, x, y1, mode="train", normalization=normalization)
+    tx2, _, _ = extract_features(params, x, y2, mode="train", normalization=normalization)
+    assert not np.array_equal(tx1, tx2)
+
+
+@pytest.mark.parametrize("normalization", NORMALIZATIONS)
+@pytest.mark.parametrize("m, n", [(40, 30), (2048, 512)])
+@pytest.mark.parametrize("net", ["random", "desk"])
+def test_encodings_equal_eval_extract_features_bitwise(net, m, n, normalization):
+    params = eval_net(net)
+    x, y = model_and_view(m, n, seed=m + n)
+    enc = encode_source(params, x, normalization)
+    fy = encode_target(params, enc, y)
+    fx_ref, fy_ref, cache = extract_features(params, x, y, mode="eval", normalization=normalization)
+    assert same_bytes(enc.descriptors, fx_ref)
+    assert same_bytes(fy, fy_ref)
+    assert same_bytes(enc.knn, cache.knn[0])
+    assert enc.betas == tuple(lc.mn.beta for lc in cache.layers)
+    # and both equal the pair run through each layer together
+    jx, jy = joint_eval_forward(params, x, y, normalization)
+    assert same_bytes(enc.descriptors, jx)
+    assert same_bytes(fy, jy)
+
+
+def test_encoding_scales_follow_the_mode():
+    params = eval_net("random")
+    x, y = model_and_view(50, 30, seed=32)
+    assert encode_source(params, x, "none").betas == (1.0,) * len(params.layers)
+    enc = encode_source(params, x, "match_norm")
+    _, _, cache = extract_features(params, x, y, mode="eval", normalization="match_norm")
+    # under MN the target is divided by the source scale, under PI by its own
+    assert [lc.mn.scale[1] for lc in cache.layers] == list(enc.betas)
+    _, _, cache = extract_features(params, x, y, mode="eval", normalization="per_instance_norm")
+    assert [lc.mn.scale[1] for lc in cache.layers] != list(enc.betas)
+
+
+def test_match_normalize_one_cloud_form_equals_the_pair_form():
+    rng = np.random.default_rng(33)
+    ax = rng.standard_normal((4, 12))
+    ay = 5.0 * rng.standard_normal((4, 7))
+    for normalization in NORMALIZATIONS:
+        ox, oy, stats = match_normalize(ax, ay, normalization)
+        sx, sstats = match_normalize(ax, normalization=normalization)
+        ty, tstats = match_normalize(ay, normalization=normalization, beta=sstats.beta)
+        assert same_bytes(sx, ox) and same_bytes(ty, oy)
+        assert stats.scale == sstats.scale + tstats.scale
+    with pytest.raises(ValueError, match="beta"):
+        match_normalize(ax, ay, beta=1.0)
 
 
 # ---------------------------------------------------------------------------

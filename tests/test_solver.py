@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 from matchreg import solver
 
 from matchreg.errors import DegenerateMatches
-from matchreg.features import init_net_params, load_checkpoint
+from matchreg.features import encode_source, init_net_params, load_checkpoint
 from matchreg.geometry import Pose, apply_pose, random_rotation_uniform, rotation_about_axis
 from matchreg.matching import Match
 from matchreg.solver import (
@@ -306,6 +306,43 @@ def test_register_icp_toggle_is_exactly_one_stage():
         direct = weighted_kabsch(x, y, list(plain.matches))
         np.testing.assert_array_equal(plain.pose.rotation, direct.rotation)
         np.testing.assert_array_equal(plain.pose.translation, direct.translation)
+
+
+def same_result(a, b):
+    return (
+        a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
+        and a.pose.translation.tobytes() == b.pose.translation.tobytes()
+        and a.matches == b.matches
+        and (a.converged, a.icp_iterations_used, a.icp_residuals)
+        == (b.converged, b.icp_iterations_used, b.icp_residuals)
+    )
+
+
+def test_register_with_a_source_encoding_equals_register_without():
+    rng = np.random.default_rng(15)
+    params = init_net_params(rng, widths=(8, 8), knn_k=4)
+    x = rng.standard_normal((40, 3))
+    enc = encode_source(params, x, "per_instance_norm")
+    opts = RegisterOptions(tau=0.2, normalization="per_instance_norm", use_icp=True)
+    for _ in range(3):
+        y = apply_pose(random_pose(rng), x[rng.choice(40, 30, replace=False)])
+        plain = register(params, x, y, opts)
+        reused = register(params, x, y, opts, source=enc)
+        assert same_result(reused, plain)
+    with pytest.raises(ValueError, match="encoding"):
+        register(params, x, y, RegisterOptions(normalization="match_norm"), source=enc)
+    with pytest.raises(ValueError, match="encoding"):
+        register(params, x[:-1], y, opts, source=enc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("lam", 0.0), ("lam", -1.0), ("lam", float("nan")), ("sinkhorn_iters", 0),
+     ("tau", 0.0), ("tau", 1.0), ("tau", float("nan"))],
+)
+def test_register_options_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RegisterOptions(**{field: value})
 
 
 # ---------------------------------------------------------------------------

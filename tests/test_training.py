@@ -6,6 +6,13 @@ import pytest
 from matchreg import training
 from matchreg.errors import NaNLoss
 from matchreg.features import init_net_params
+from matchreg.metrics import (
+    DEFAULT_INLIER_THRESHOLD,
+    count_true_inliers,
+    rotation_error_deg,
+    translation_error,
+)
+from matchreg.solver import register
 from matchreg.synth import SynthConfig, generate_dataset
 from matchreg.training import (
     TrainConfig,
@@ -199,6 +206,34 @@ def test_evaluate_dataset_reuses_diameter_of_a_repeated_source(monkeypatch):
     report = evaluate_dataset(small_params(), repeated, eval_options(quick_cfg()))
     assert len(calls) == 3
     assert len(report.per_sample) == 5
+
+
+def test_evaluate_dataset_encodes_a_repeated_source_once(monkeypatch):
+    data = generate_dataset(EASY_SYNTH, 2)
+    repeated = [data[0], data[0], data[1], data[1], data[0]]
+    calls = []
+    encode = training.encode_source
+
+    def counting(params, points, normalization):
+        calls.append(len(points))
+        return encode(params, points, normalization)
+
+    monkeypatch.setattr(training, "encode_source", counting)
+    params, opts = small_params(), eval_options(quick_cfg())
+    report = evaluate_dataset(params, repeated, opts)
+    assert len(calls) == 3
+    # the report is the one a plain register call per sample gives
+    for rec, s in zip(report.per_sample, repeated):
+        plain = register(params, s.source, s.target, opts)
+        assert rec["pred_matches"] == len(plain.matches)
+        assert rec["converged"] == plain.converged
+        assert rec["rotation_deg"] == rotation_error_deg(plain.pose.rotation, s.gt_pose.rotation)
+        assert rec["translation"] == translation_error(plain.pose.translation, s.gt_pose.translation)
+        assert rec["true_inliers"] == count_true_inliers(
+            plain.matches, s.source, s.target, s.gt_pose, DEFAULT_INLIER_THRESHOLD
+        )
+    evaluate_dataset(params, repeated, opts, oracle=True)
+    assert len(calls) == 3  # the oracle encodes nothing
 
 
 @pytest.mark.parametrize(
