@@ -28,12 +28,9 @@ from .features import (
     save_checkpoint,
 )
 from .geometry import (
-    CameraIntrinsics,
-    DepthImage,
     Pose,
     TriangleMesh,
     apply_pose,
-    backproject_depth,
     compose_pose,
     hidden_point_removal,
     invert_pose,

@@ -190,6 +190,9 @@ TRAIN_DEFAULTS = {
     "knn_k": DEFAULT_KNN_K,
     "widths": ",".join(str(w) for w in DEFAULT_WIDTHS),
 }
+# training keys that ablate accepts, so train and ablate share config files,
+# but does not list: it sets the mode per arm and writes no checkpoints
+ABLATE_HIDDEN = ("normalization", "checkpoint_every")
 
 
 def _train_config_from(args, file_values) -> tuple[TrainConfig, int, tuple[int, ...]]:
@@ -480,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", dest="json_out", help="write the comparison as JSON")
     p.add_argument("--mode-a", dest="mode_a", default="match-norm", help="first normalization mode")
     p.add_argument("--mode-b", dest="mode_b", default="per-instance", help="second normalization mode")
-    _add_config_flags(p, TRAIN_KEYS, TRAIN_DEFAULTS, hidden=("normalization",))
+    _add_config_flags(p, TRAIN_KEYS, TRAIN_DEFAULTS, hidden=ABLATE_HIDDEN)
     _add_metric_flags(p)
     p.set_defaults(func=cmd_ablate)
 

@@ -66,15 +66,6 @@ class PlyParseError(MatchregError):
         self.line = line
 
 
-class ObjParseError(MatchregError):
-    """Malformed OBJ content."""
-
-    def __init__(self, path, line: int, message: str):
-        super().__init__(f"{path}:{line}: {message}")
-        self.path = path
-        self.line = line
-
-
 class ManifestNotFound(MatchregError):
     """Dataset directory has no manifest.json."""
 

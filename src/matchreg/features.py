@@ -14,10 +14,11 @@ and sharing it keeps the two activation distributions aligned. The
 ablation modes (``per_instance_norm``, ``none``) take the same path,
 ``match_normalize``; batch norm is ``batch_normalize`` in either mode.
 
-Train mode runs each layer over the (source, target) pair, because batch
-norm pools both clouds. Eval mode runs one cloud at a time: the source
-alone (``encode_source``), then the target against the source's per-layer
-scales (``encode_target``), so one model encoding serves many views.
+One loop (``_forward``) runs the layers over the (source, target) pair,
+as ``extract_features`` does in either mode, or over one cloud. In eval
+mode a target needs of its source only the per-layer scales, so a model
+is encoded alone once (``encode_source``) and each view against it
+(``encode_target``); these one-cloud passes keep no layer state.
 
 Forward passes record everything needed for an exact analytic backward
 (``extract_features_backward``), including the max-pool argmax slots and
@@ -28,16 +29,17 @@ finite differences to first order away from ties.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
-from typing import Literal, Sequence, TypeAlias
+from typing import Sequence, TypeAlias
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.spatial import cKDTree
 
 from .errors import ChannelMismatch, EmptyBatch, ShapeMismatch, TooFewPoints
+from .fileio import require_keys
 from .geometry import Points, as_points
 
 FeatureArray: TypeAlias = NDArray[np.float64]  # (C, M)
@@ -46,7 +48,6 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
 MN_SCALE_FLOOR = 1e-8
 
-NormalizationMode = Literal["match_norm", "per_instance_norm", "none"]
 NORMALIZATION_MODES = ("match_norm", "per_instance_norm", "none")
 
 DEFAULT_WIDTHS = (32, 64, 64)
@@ -442,26 +443,24 @@ def _layer_forward(lp: LayerParams, feats, knn, mode: str, normalization: str, b
     return outs, _LayerCache(list(edge), list(amax), act, mn_out, mn, bn, relu_mask)
 
 
-def _eval_pass(params: NetParams, points: Points, normalization: str, betas=None, caches=None):
-    """One cloud through the network in eval mode.
+def _forward(params: NetParams, clouds, mode: str, normalization: str, betas=None, caches=None):
+    """Every layer over the (source, target) pair or over one cloud.
 
-    The cloud is a source when ``betas`` is None, else a target whose
-    source has the per-layer scales ``betas``. Returns the kNN graph, each
-    layer's output and each layer's scale; each layer's ``_LayerCache`` is
-    appended to ``caches`` when a list is given.
+    A lone cloud is a source when ``betas`` is None, else a target whose
+    source has the per-layer scales ``betas``. Returns each cloud's kNN
+    graph and descriptors, and each layer's scale of the first cloud. Each
+    layer's ``_LayerCache`` is appended to ``caches`` when a list is given.
     """
-    pts = as_points(points)
-    knn = knn_indices(pts, params.knn_k)
-    feats = [pts.T.copy()]
-    outputs, scales = [], []
+    knn = [knn_indices(p, params.knn_k) for p in clouds]
+    feats = [p.T.copy() for p in clouds]
+    scales = []
     for li, lp in enumerate(params.layers):
         beta = None if betas is None else betas[li]
-        feats, lc = _layer_forward(lp, feats, [knn], "eval", normalization, beta)
-        outputs.append(feats[0])
-        scales.append(lc.mn.scale[0])
+        feats, lc = _layer_forward(lp, feats, knn, mode, normalization, beta)
+        scales.append(lc.mn.beta)
         if caches is not None:
             caches.append(lc)
-    return knn, outputs, scales
+    return knn, feats, tuple(scales)
 
 
 @dataclass(frozen=True)
@@ -477,13 +476,8 @@ class SourceEncoding:
 
     normalization: str
     knn: NDArray[np.int64]                  # (M, k) neighbor indices
-    features: tuple[FeatureArray, ...]      # each layer's (C_l, M) output
+    descriptors: FeatureArray               # the last layer's (C, M) output
     betas: tuple[float, ...]                # each layer's source scale
-
-    @property
-    def descriptors(self) -> FeatureArray:
-        """The (C, M) source descriptors: the last layer's output."""
-        return self.features[-1]
 
 
 def encode_source(
@@ -498,28 +492,13 @@ def encode_source(
     train mode batch norm pools both clouds at every layer.
     """
     _check_normalization(normalization)
-    knn, outputs, scales = _eval_pass(params, x, normalization)
-    return SourceEncoding(normalization, knn, tuple(outputs), tuple(scales))
+    knn, feats, betas = _forward(params, [as_points(x)], "eval", normalization)
+    return SourceEncoding(normalization, knn[0], feats[0], betas)
 
 
 def encode_target(params: NetParams, source: SourceEncoding, y: Points) -> FeatureArray:
     """The (C, N) eval-mode descriptors of target ``y`` against an encoded source."""
-    return _eval_pass(params, y, source.normalization, source.betas)[1][-1]
-
-
-def _join(src: _LayerCache, tgt: _LayerCache) -> _LayerCache:
-    """A source's and a target's one-cloud layer states as one pair state."""
-    return _LayerCache(
-        edge=src.edge + tgt.edge,
-        amax=src.amax + tgt.amax,
-        act=src.act + tgt.act,
-        mn_out=src.mn_out + tgt.mn_out,
-        mn=MatchNormStats(
-            src.mn.mu + tgt.mn.mu, src.mn.scale + tgt.mn.scale, src.mn.scale_at + tgt.mn.scale_at
-        ),
-        bn=replace(src.bn, z=src.bn.z + tgt.bn.z),
-        relu_mask=src.relu_mask + tgt.relu_mask,
-    )
+    return _forward(params, [as_points(y)], "eval", source.normalization, source.betas)[1][0]
 
 
 def extract_features(
@@ -535,11 +514,9 @@ def extract_features(
     ``extract_features_backward``. Pure: train-mode batch statistics are
     reported in the cache (``bn.mean``, ``bn.var``), never folded into ``params``.
 
-    Train mode runs each layer over the pair, because batch norm pools
-    both clouds. Eval mode is the source's pass of ``encode_source`` and
-    the target's pass of ``encode_target``, the target reading only the
-    source's per-layer scales; to match many targets against one source,
-    encode the source once instead.
+    In eval mode the descriptors equal ``encode_source``'s and
+    ``encode_target``'s byte for byte; to match many targets against one
+    source, encode the source once instead.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -550,20 +527,9 @@ def extract_features(
             f"cloud sizes ({clouds[0].shape[0]}, {clouds[1].shape[0]}) "
             f"must exceed knn_k={params.knn_k}"
         )
-    if mode == "eval":
-        src, tgt = [], []
-        knn_x, fx, betas = _eval_pass(params, clouds[0], normalization, caches=src)
-        knn_y, fy, _ = _eval_pass(params, clouds[1], normalization, betas, caches=tgt)
-        layers = [_join(s, t) for s, t in zip(src, tgt)]
-        return fx[-1], fy[-1], ForwardCache([knn_x, knn_y], layers, normalization)
-
-    knn = [knn_indices(p, params.knn_k) for p in clouds]
-    feats = [p.T.copy() for p in clouds]
-    layers = []
-    for lp in params.layers:
-        feats, lc = _layer_forward(lp, feats, knn, mode, normalization)
-        layers.append(lc)
-    return feats[0], feats[1], ForwardCache(knn, layers, normalization)
+    layers: list[_LayerCache] = []
+    knn, (fx, fy), _ = _forward(params, clouds, mode, normalization, caches=layers)
+    return fx, fy, ForwardCache(knn, layers, normalization)
 
 
 def extract_features_backward(
@@ -627,16 +593,18 @@ def save_checkpoint(path, params: NetParams, normalization: str = "match_norm") 
 
 
 def load_checkpoint(path) -> tuple[NetParams, str]:
+    """Parameters and normalization mode; a bad file raises ``ValueError`` naming it."""
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
+    knn_k, records = require_keys(doc, ("knn_k", "layers"), path).values()
     layers = tuple(
-        LayerParams(**{f: np.asarray(rec[f], dtype=np.float64) for f in _LAYER_FIELDS})
-        for rec in doc["layers"]
+        LayerParams(**require_keys(rec, _LAYER_FIELDS, f"{path}: layer {i}"))
+        for i, rec in enumerate(records)
     )
     normalization = doc.get("normalization", "match_norm")
     if normalization not in NORMALIZATION_MODES:
         raise ValueError(f"{path}: unknown normalization {normalization!r}")
-    return NetParams(layers=layers, knn_k=int(doc["knn_k"])), normalization
+    return NetParams(layers=layers, knn_k=int(knn_k)), normalization

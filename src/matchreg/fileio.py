@@ -1,9 +1,8 @@
-"""ASCII PLY point-cloud I/O and ASCII OBJ mesh reading.
+"""ASCII PLY point-cloud I/O, and the key check for the JSON documents read.
 
-Only the subset needed here is supported: PLY ``vertex`` elements with
-``x y z`` properties (float or double), and OBJ ``v``/``f`` records with
-polygonal faces triangulated by fan. Writers emit full-precision float64
-so a write/read round trip is lossless.
+Only the PLY subset needed here is supported: ``vertex`` elements with
+``x y z`` properties (float or double). The writer emits full-precision
+float64 so a write/read round trip is lossless.
 """
 
 from __future__ import annotations
@@ -12,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ObjParseError, PlyParseError
-from .geometry import Points, TriangleMesh, as_points
+from .errors import PlyParseError
+from .geometry import Points, as_points
 
 
 def write_ply(path, pc: Points) -> None:
@@ -93,48 +92,15 @@ def read_ply(path) -> Points:
     return pts
 
 
-def _parse_face_index(tok: str, n_vertices: int, path, ln: int) -> int:
-    head = tok.split("/")[0]
-    try:
-        idx = int(head)
-    except ValueError:
-        raise ObjParseError(path, ln, f"bad face index {tok!r}") from None
-    if idx < 0:
-        idx = n_vertices + idx + 1  # OBJ negative indices count from the end
-    if not 1 <= idx <= n_vertices:
-        raise ObjParseError(path, ln, f"face index {idx} out of range 1..{n_vertices}")
-    return idx - 1
+def require_keys(doc, keys: tuple[str, ...], where, error=ValueError) -> dict:
+    """``doc``'s entries at ``keys``, in order; ``doc`` is a parsed JSON document.
 
-
-def read_obj(path) -> TriangleMesh:
-    vertices: list[list[float]] = []
-    faces: list[list[int]] = []
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        tok = raw.split()
-        if not tok or tok[0].startswith("#"):
-            continue
-        if tok[0] == "v":
-            if len(tok) < 4:
-                raise ObjParseError(path, ln, "vertex needs 3 coordinates")
-            try:
-                vertices.append([float(tok[1]), float(tok[2]), float(tok[3])])
-            except ValueError:
-                raise ObjParseError(path, ln, f"non-numeric vertex in {raw.strip()!r}") from None
-        elif tok[0] == "f":
-            if len(tok) < 4:
-                raise ObjParseError(path, ln, "face needs at least 3 indices")
-            idx = [_parse_face_index(t, len(vertices), path, ln) for t in tok[1:]]
-            for i in range(1, len(idx) - 1):  # fan triangulation
-                faces.append([idx[0], idx[i], idx[i + 1]])
-        # all other record types (vn, vt, usemtl, ...) are ignored
-    if not vertices:
-        raise ObjParseError(path, 1, "no vertices found")
-    if not faces:
-        raise ObjParseError(path, 1, "no faces found")
-    return TriangleMesh(np.array(vertices), np.array(faces, dtype=np.int64))
-
-
-def write_obj(path, mesh: TriangleMesh) -> None:
-    lines = [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}" for v in mesh.vertices]
-    lines += [f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}" for f in mesh.faces]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Raises ``error`` naming ``where`` (a file, or a record in one) when
+    ``doc`` is not a JSON object or lacks one of the keys.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise error(f"{where}: missing key {key!r}")
+    return {key: doc[key] for key in keys}

@@ -1,10 +1,10 @@
 """Core 3D types and operations.
 
 Rigid-transform algebra, uniform rotation sampling, mesh surface sampling,
-depth back-projection, visibility-based partial views, and noise/outlier
-corruption. Point clouds are plain ``(N, 3)`` float64 arrays throughout;
-small value types (``Pose``, ``TriangleMesh``, ...) are frozen dataclasses
-validated at construction.
+visibility-based partial views, and noise/outlier corruption. Point clouds
+are plain ``(N, 3)`` float64 arrays throughout; small value types
+(``Pose``, ``TriangleMesh``) are frozen dataclasses validated at
+construction.
 """
 
 from __future__ import annotations
@@ -107,43 +107,6 @@ class TriangleMesh:
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
-@dataclass(frozen=True)
-class CameraIntrinsics:
-    """Pinhole intrinsics in pixels."""
-
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-
-    def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
-
-
-@dataclass(frozen=True)
-class DepthImage:
-    """Depth map in meters, row-major; 0 marks an invalid pixel."""
-
-    depth: NDArray[np.float64]
-
-    def __post_init__(self):
-        d = np.asarray(self.depth, dtype=np.float64)
-        if d.ndim != 2:
-            raise ValueError(f"depth must be 2-D (height, width), got {d.shape}")
-        if not np.all(np.isfinite(d)) or np.any(d < 0):
-            raise ValueError("depth values must be finite and non-negative")
-        object.__setattr__(self, "depth", _frozen(d))
-
-    @property
-    def height(self) -> int:
-        return self.depth.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.depth.shape[1]
-
-
 def apply_pose(p: Pose, pc: Points) -> Points:
     """Map every point through x -> R x + t."""
     pts = as_points(pc)
@@ -207,27 +170,6 @@ def sample_mesh_surface(mesh: TriangleMesh, n: int, rng: np.random.Generator) ->
     b = mesh.vertices[mesh.faces[face_idx, 1]]
     c = mesh.vertices[mesh.faces[face_idx, 2]]
     return a + u[:, None] * (b - a) + v[:, None] * (c - a)
-
-
-def backproject_depth(d: DepthImage, k: CameraIntrinsics) -> Points:
-    """Lift valid depth pixels to 3D camera-frame points, row-major order."""
-    z = d.depth
-    vs, us = np.nonzero(z > 0)  # nonzero scans row-major
-    if vs.size == 0:
-        raise EmptyCloud("depth image has no valid pixels")
-    zz = z[vs, us]
-    x = zz * (us - k.cx) / k.fx
-    y = zz * (vs - k.cy) / k.fy
-    return np.column_stack([x, y, zz])
-
-
-def project_pinhole(pc: Points, k: CameraIntrinsics) -> NDArray[np.float64]:
-    """Inverse of back-projection: (u, v, z) per point."""
-    pts = as_points(pc)
-    z = pts[:, 2]
-    u = pts[:, 0] * k.fx / z + k.cx
-    v = pts[:, 1] * k.fy / z + k.cy
-    return np.column_stack([u, v, z])
 
 
 def hidden_point_removal(pc: Points, viewpoint, gamma: float = 10.0) -> NDArray[np.int64]:

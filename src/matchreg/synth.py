@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptDataset, ManifestNotFound
-from .fileio import read_ply, write_ply
+from .fileio import read_ply, require_keys, write_ply
 from .geometry import (
     Points,
     Pose,
@@ -343,6 +343,7 @@ def read_dataset(path) -> tuple[list[PairSample], dict]:
     if not manifest_path.exists():
         raise ManifestNotFound(f"no {MANIFEST_NAME} in {root}")
     manifest = json.loads(manifest_path.read_text())
+    (config,) = require_keys(manifest, ("config",), manifest_path, CorruptDataset).values()
     if manifest.get("format") != DATASET_FORMAT:
         raise CorruptDataset(f"{manifest_path}: unexpected format field")
     records = manifest.get("samples", [])
@@ -351,18 +352,24 @@ def read_dataset(path) -> tuple[list[PairSample], dict]:
             f"{manifest_path}: count {manifest.get('count')} != {len(records)} sample records"
         )
     samples = []
-    for rec in records:
-        for key in ("source", "target", "pose"):
-            if not (root / rec[key]).exists():
-                raise CorruptDataset(f"missing dataset file {rec[key]}")
-        pose_doc = json.loads((root / rec["pose"]).read_text())
+    for i, rec in enumerate(records):
+        where = f"{manifest_path}: sample {i}"
+        files = require_keys(rec, ("source", "target", "pose"), where, CorruptDataset).values()
+        for name in files:
+            if not (root / name).exists():
+                raise CorruptDataset(f"missing dataset file {name}")
+        source, target, pose = (root / name for name in files)
+        rotation, translation, shape_id, scale = require_keys(
+            json.loads(pose.read_text()), ("rotation", "translation", "shape_id", "scale"),
+            pose, CorruptDataset,
+        ).values()
         samples.append(
             PairSample(
-                source=read_ply(root / rec["source"]),
-                target=read_ply(root / rec["target"]),
-                gt_pose=Pose(np.array(pose_doc["rotation"]), np.array(pose_doc["translation"])),
-                shape_id=pose_doc["shape_id"],
-                scale=float(pose_doc["scale"]),
+                source=read_ply(source),
+                target=read_ply(target),
+                gt_pose=Pose(np.array(rotation), np.array(translation)),
+                shape_id=shape_id,
+                scale=float(scale),
             )
         )
-    return samples, manifest["config"]
+    return samples, config

@@ -42,6 +42,10 @@ from .synth import PairSample
 
 LEARNABLE_FIELDS = ("weight", "bias", "bn_gamma", "bn_beta")
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -57,9 +61,6 @@ class TrainConfig:
     gt_thresh: float = DEFAULT_GT_THRESHOLD
     alpha: float = DEFAULT_ALPHA
     tau: float = DEFAULT_MATCH_THRESHOLD
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if not self.learning_rate >= 0:  # rejects NaN too
@@ -125,7 +126,7 @@ def adam_step(
     """One Adam update over the learnable fields; running stats untouched."""
     state.step += 1
     t = state.step
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     new_layers = []
     for li, lp in enumerate(params.layers):
         updates = {}

@@ -1,12 +1,13 @@
 """CLI behavior: exit codes, determinism, file outputs, help texts."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from matchreg.cli import TRAIN_DEFAULTS, TRAIN_KEYS, build_parser, main
+from matchreg.cli import ABLATE_HIDDEN, TRAIN_DEFAULTS, TRAIN_KEYS, build_parser, main
 from matchreg.features import init_net_params, save_checkpoint
 from matchreg.fileio import write_ply
 from matchreg.synth import SynthConfig, generate_dataset, write_dataset
@@ -320,6 +321,43 @@ def test_eval_reports_deterministic(tmp_path, tiny_model, tiny_dataset):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, key_path, message",
+    [
+        ("model.json", None, "not a checkpoint file"),
+        ("model.json", ("knn_k",), "missing key 'knn_k'"),
+        ("model.json", ("layers", 0, "bias"), "layer 0: missing key 'bias'"),
+        ("manifest.json", None, "expected a JSON object"),
+        ("manifest.json", ("config",), "missing key 'config'"),
+        ("manifest.json", ("samples", 1, "target"), "sample 1: missing key 'target'"),
+        ("pair_00000_pose.json", ("rotation",), "missing key 'rotation'"),
+    ],
+)
+def test_eval_malformed_json_exits_1_naming_the_key(
+    tmp_path, capsys, tiny_model, tiny_dataset, name, key_path, message
+):
+    # a checkpoint or dataset file that is not a JSON object (None) or
+    # lacks the key at key_path gives one error line, not a traceback
+    model = tmp_path / "model.json"
+    shutil.copy(tiny_model, model)
+    data = tmp_path / "ds"
+    shutil.copytree(tiny_dataset, data)
+    broken = model if name == "model.json" else data / name
+    doc = json.loads(broken.read_text())
+    if key_path is None:
+        doc = [doc]
+    else:
+        parent = doc
+        for key in key_path[:-1]:
+            parent = parent[key]
+        del parent[key_path[-1]]
+    broken.write_text(json.dumps(doc))
+    assert run(["eval", "--model", str(model), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and str(broken) in err and message in err
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------
@@ -376,8 +414,8 @@ def test_help_lists_defaults(cmd, capsys):
     assert "(default: None)" not in flat
     if cmd in ("train", "ablate"):
         for key, value in TRAIN_DEFAULTS.items():
-            if key == "normalization" and cmd == "ablate":
-                continue  # ablate sets the mode per arm
+            if cmd == "ablate" and key in ABLATE_HIDDEN:
+                continue  # accepted but not listed
             assert f"(default: {value})" in flat, key
         assert "(default: 2000)" in flat
 
@@ -390,7 +428,7 @@ TRAINING_ARGV = [
 ]
 
 
-def test_train_and_ablate_accept_the_same_training_flags():
+def test_train_and_ablate_accept_the_same_training_flags(capsys):
     assert {flag.lstrip("-").replace("-", "_") for flag in TRAINING_ARGV[::2]} == {
         *TRAIN_KEYS, "config"
     }
@@ -399,3 +437,7 @@ def test_train_and_ablate_accept_the_same_training_flags():
     ablate_args = parser.parse_args(["ablate", "--data", "d", "--holdout", "h", *TRAINING_ARGV])
     for key in (*TRAIN_KEYS, "config", "data"):
         assert getattr(train_args, key) == getattr(ablate_args, key), key
+    # ablate writes no checkpoints, so its help does not offer the flag
+    with pytest.raises(SystemExit):
+        run(["ablate", "--help"])
+    assert "--checkpoint-every" not in capsys.readouterr().out

@@ -1,10 +1,10 @@
-"""PLY/OBJ parsing and round-trip tests."""
+"""PLY parsing and round-trip tests."""
 
 import numpy as np
 import pytest
 
-from matchreg.errors import ObjParseError, PlyParseError
-from matchreg.fileio import read_obj, read_ply, write_obj, write_ply
+from matchreg.errors import PlyParseError
+from matchreg.fileio import read_ply, write_ply
 
 
 def test_ply_round_trip(tmp_path):
@@ -67,49 +67,3 @@ def test_ply_count_mismatch(tmp_path):
     with pytest.raises(PlyParseError):
         read_ply(path)
 
-
-def test_obj_reads_triangles(tmp_path):
-    content = "# comment\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
-    path = tmp_path / "tri.obj"
-    path.write_text(content)
-    mesh = read_obj(path)
-    assert mesh.vertices.shape == (3, 3)
-    np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
-
-
-def test_obj_fan_triangulates_quads(tmp_path):
-    content = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"
-    path = tmp_path / "quad.obj"
-    path.write_text(content)
-    mesh = read_obj(path)
-    np.testing.assert_array_equal(mesh.faces, [[0, 1, 2], [0, 2, 3]])
-
-
-def test_obj_slash_forms_and_negatives(tmp_path):
-    content = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/5/2 2//3 -1\n"
-    path = tmp_path / "slash.obj"
-    path.write_text(content)
-    mesh = read_obj(path)
-    np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
-
-
-def test_obj_out_of_range_index(tmp_path):
-    path = tmp_path / "bad.obj"
-    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
-    with pytest.raises(ObjParseError) as e:
-        read_obj(path)
-    assert e.value.line == 4
-
-
-def test_obj_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    verts = rng.standard_normal((5, 3))
-    faces = np.array([[0, 1, 2], [2, 3, 4]])
-    from matchreg.geometry import TriangleMesh
-
-    mesh = TriangleMesh(verts, faces)
-    path = tmp_path / "rt.obj"
-    write_obj(path, mesh)
-    back = read_obj(path)
-    np.testing.assert_array_equal(back.vertices, verts)
-    np.testing.assert_array_equal(back.faces, faces)

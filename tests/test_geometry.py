@@ -3,19 +3,15 @@
 import numpy as np
 import pytest
 
-from matchreg.errors import DegenerateMesh, DegenerateView, EmptyCloud
+from matchreg.errors import DegenerateMesh, DegenerateView
 from matchreg.geometry import (
-    CameraIntrinsics,
-    DepthImage,
     Pose,
     TriangleMesh,
     add_noise_and_outliers,
     apply_pose,
-    backproject_depth,
     compose_pose,
     hidden_point_removal,
     invert_pose,
-    project_pinhole,
     random_rotation_uniform,
     rotation_about_axis,
     sample_mesh_surface,
@@ -227,46 +223,6 @@ def test_samples_lie_on_face_planes():
         n = n / np.linalg.norm(n)
         dists.append(np.abs((pts - a) @ n))
     assert np.min(dists, axis=0).max() < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Depth back-projection
-# ---------------------------------------------------------------------------
-
-def test_backproject_principal_ray():
-    depth = np.zeros((5, 5))
-    depth[2, 3] = 1.5
-    k = CameraIntrinsics(fx=100, fy=100, cx=3, cy=2)
-    pts = backproject_depth(DepthImage(depth), k)
-    np.testing.assert_allclose(pts, [[0, 0, 1.5]])
-
-
-def test_backproject_direct_formula():
-    depth = np.zeros((1, 200))
-    depth[0, 100] = 2.0
-    k = CameraIntrinsics(fx=100, fy=100, cx=0, cy=0)
-    pts = backproject_depth(DepthImage(depth), k)
-    np.testing.assert_allclose(pts, [[2.0, 0.0, 2.0]])
-
-
-def test_backproject_all_invalid_raises():
-    with pytest.raises(EmptyCloud):
-        backproject_depth(DepthImage(np.zeros((4, 4))), CameraIntrinsics(50, 50, 2, 2))
-
-
-def test_backproject_projection_round_trip():
-    rng = np.random.default_rng(14)
-    depth = rng.uniform(0.5, 3.0, (12, 17))
-    depth[rng.random((12, 17)) < 0.4] = 0.0
-    if not np.any(depth > 0):
-        depth[0, 0] = 1.0
-    k = CameraIntrinsics(fx=120.0, fy=95.0, cx=8.2, cy=5.7)
-    pts = backproject_depth(DepthImage(depth), k)
-    uvz = project_pinhole(pts, k)
-    vs, us = np.nonzero(depth > 0)
-    np.testing.assert_allclose(uvz[:, 0], us, atol=1e-9)
-    np.testing.assert_allclose(uvz[:, 1], vs, atol=1e-9)
-    np.testing.assert_allclose(uvz[:, 2], depth[vs, us], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
