@@ -26,7 +26,7 @@ from .features import (
     load_checkpoint,
     save_checkpoint,
 )
-from .fileio import read_ply
+from .fileio import read_json, read_ply
 from .metrics import (
     DEFAULT_INLIER_THRESHOLD,
     DEFAULT_ROTATION_THRESHOLDS_DEG,
@@ -47,11 +47,9 @@ NORMALIZATION_CHOICES = {
 def _load_config_file(path, allowed: dict):
     """JSON config with flag-name keys; unknown keys rejected by name."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(path, ConfigError)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file {path} is not valid JSON: {err}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     for key in doc:

@@ -20,6 +20,12 @@ mode a target needs of its source only the per-layer scales, so a model
 is encoded alone once (``encode_source``) and each view against it
 (``encode_target``); these one-cloud passes keep no layer state.
 
+The edge max-pool (``_edge_forward``) walks the k neighbor slots with a
+running max and never builds the (C, M, k) difference tensor; a slot
+replaces the max only when strictly greater, so of equal maxima the first
+slot wins, as ``argmax`` would choose. Its backward adds every gradient
+with one ``np.bincount`` in the order ``np.add.at`` would.
+
 Forward passes record everything needed for an exact analytic backward
 (``extract_features_backward``), including the max-pool argmax slots and
 the location of the scale's argmax element, so gradients match central
@@ -39,7 +45,7 @@ from numpy.typing import NDArray
 from scipy.spatial import cKDTree
 
 from .errors import ChannelMismatch, EmptyBatch, ShapeMismatch, TooFewPoints
-from .fileio import require_keys
+from .fileio import read_json, require_keys
 from .geometry import Points, as_points
 
 FeatureArray: TypeAlias = NDArray[np.float64]  # (C, M)
@@ -385,21 +391,50 @@ def _batch_normalize_backward(cache: BatchNormCache, gamma, grads):
 # ---------------------------------------------------------------------------
 
 def _edge_forward(f: FeatureArray, idx: NDArray[np.int64]):
-    """[f_i ; max over neighbors of (f_j - f_i)] per point."""
-    diffs = f[:, idx] - f[:, :, None]          # (C, M, k)
-    amax = diffs.argmax(axis=2)                # first max wins ties
-    pooled = np.take_along_axis(diffs, amax[:, :, None], axis=2)[:, :, 0]
-    return np.vstack([f, pooled]), amax
+    """[f_i ; max over neighbors of (f_j - f_i)] per point, and each max's slot.
+
+    Walks the k neighbor slots of ``idx`` with a running max, in (M, C)
+    layout so a slot gathers whole rows; no (C, M, k) array is built. A
+    slot takes over only when strictly greater, so the first of equal
+    maxima wins, as ``argmax`` over the slots chooses. Equal values are
+    equal bytes except +0.0 and -0.0, of which ``np.maximum`` may keep
+    either; when ``f`` has a sign bit set (ReLU outputs never do), each
+    zero max is therefore recomputed from its winning slot.
+    """
+    ft = f.T.copy()
+    pooled = ft[idx[:, 0]] - ft
+    amax = np.zeros(ft.shape, dtype=np.intp)
+    for s in range(1, idx.shape[1]):
+        d = ft[idx[:, s]]
+        d -= ft
+        # slots only grow, so the last strict improvement is the first max
+        np.maximum(amax, (d > pooled) * s, out=amax)
+        np.maximum(pooled, d, out=pooled)
+    if np.signbit(f).any():
+        i, ch = np.nonzero(pooled == 0)
+        pooled[i, ch] = ft[idx[i, amax[i, ch]], ch] - ft[i, ch]
+    return np.vstack([f, pooled.T]), amax.T
 
 
 def _edge_backward(d_edge, idx, amax, c_in):
+    """Gradient wrt ``f`` of ``_edge_forward``, given the gradient of its output.
+
+    A pooled entry's gradient goes to its max neighbor, and negated to the
+    point itself. One ``np.bincount`` adds them up: its keys are each entry
+    of ``f`` first, then each pooled entry's neighbor in row-major order,
+    so every sum is added in the order ``np.add.at`` adds it. (A sum starts
+    at +0.0, which would turn a lone -0.0 in ``df`` into +0.0; ``d_edge``
+    is a matrix product, which gives no -0.0.)
+    """
     dp = d_edge[c_in:]
     df = d_edge[:c_in] - dp
-    m = idx.shape[0]
-    j_star = idx[np.arange(m)[None, :], amax]  # (C, M) neighbor of the max slot
-    rows = np.broadcast_to(np.arange(c_in)[:, None], j_star.shape)
-    np.add.at(df, (rows, j_star), dp)
-    return df
+    m, k = idx.shape
+    size = c_in * m
+    j_star = np.take(idx, amax + np.arange(0, m * k, k))  # (C, M) neighbor of the max slot
+    j_star += np.arange(0, size, m)[:, None]               # as a flat index into (C, M)
+    keys = np.concatenate([np.arange(size), j_star.ravel()])
+    weights = np.concatenate([df.ravel(), dp.ravel()])
+    return np.bincount(keys, weights, size).reshape(c_in, m)
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +478,19 @@ def _layer_forward(lp: LayerParams, feats, knn, mode: str, normalization: str, b
     return outs, _LayerCache(list(edge), list(amax), act, mn_out, mn, bn, relu_mask)
 
 
-def _forward(params: NetParams, clouds, mode: str, normalization: str, betas=None, caches=None):
+def _forward(
+    params: NetParams, clouds, mode: str, normalization: str, betas=None, caches=None, knn=None
+):
     """Every layer over the (source, target) pair or over one cloud.
 
     A lone cloud is a source when ``betas`` is None, else a target whose
     source has the per-layer scales ``betas``. Returns each cloud's kNN
-    graph and descriptors, and each layer's scale of the first cloud. Each
-    layer's ``_LayerCache`` is appended to ``caches`` when a list is given.
+    graph (``knn`` when given, else built here) and descriptors, and each
+    layer's scale of the first cloud. Each layer's ``_LayerCache`` is
+    appended to ``caches`` when a list is given.
     """
-    knn = [knn_indices(p, params.knn_k) for p in clouds]
+    if knn is None:
+        knn = [knn_indices(p, params.knn_k) for p in clouds]
     feats = [p.T.copy() for p in clouds]
     scales = []
     for li, lp in enumerate(params.layers):
@@ -507,12 +546,17 @@ def extract_features(
     y: Points,
     mode: str = "eval",
     normalization: str = "match_norm",
+    knn=None,
 ) -> tuple[FeatureArray, FeatureArray, ForwardCache]:
     """Run both clouds through the feature network with shared weights.
 
     Returns (C, M) and (C, N) descriptor arrays plus the cache consumed by
     ``extract_features_backward``. Pure: train-mode batch statistics are
     reported in the cache (``bn.mean``, ``bn.var``), never folded into ``params``.
+
+    ``knn``, when given, is the pair's graphs from an earlier call
+    (``ForwardCache.knn``): the clouds never change between training
+    draws, so their graphs are built once per sample.
 
     In eval mode the descriptors equal ``encode_source``'s and
     ``encode_target``'s byte for byte; to match many targets against one
@@ -528,7 +572,7 @@ def extract_features(
             f"must exceed knn_k={params.knn_k}"
         )
     layers: list[_LayerCache] = []
-    knn, (fx, fy), _ = _forward(params, clouds, mode, normalization, caches=layers)
+    knn, (fx, fy), _ = _forward(params, clouds, mode, normalization, caches=layers, knn=knn)
     return fx, fy, ForwardCache(knn, layers, normalization)
 
 
@@ -594,17 +638,21 @@ def save_checkpoint(path, params: NetParams, normalization: str = "match_norm") 
 
 def load_checkpoint(path) -> tuple[NetParams, str]:
     """Parameters and normalization mode; a bad file raises ``ValueError`` naming it."""
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    knn_k, records = require_keys(doc, ("knn_k", "layers"), path).values()
-    layers = tuple(
-        LayerParams(**require_keys(rec, _LAYER_FIELDS, f"{path}: layer {i}"))
-        for i, rec in enumerate(records)
-    )
+    knn_k, records = require_keys(doc, {"knn_k": int, "layers": list}, path).values()
+    layers = []
+    for i, rec in enumerate(records):
+        where = f"{path}: layer {i}"
+        fields = require_keys(rec, dict.fromkeys(_LAYER_FIELDS, list), where)
+        try:
+            layers.append(LayerParams(**fields))
+        except (TypeError, ValueError) as err:  # entries that are not numbers, or misshapen
+            raise ValueError(f"{where}: {err}") from None
     normalization = doc.get("normalization", "match_norm")
     if normalization not in NORMALIZATION_MODES:
         raise ValueError(f"{path}: unknown normalization {normalization!r}")
-    return NetParams(layers=layers, knn_k=int(knn_k)), normalization
+    return NetParams(layers=tuple(layers), knn_k=knn_k), normalization

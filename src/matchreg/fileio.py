@@ -1,4 +1,4 @@
-"""ASCII PLY point-cloud I/O, and the key check for the JSON documents read.
+"""ASCII PLY point-cloud I/O, and the reading and key checks of JSON documents.
 
 Only the PLY subset needed here is supported: ``vertex`` elements with
 ``x y z`` properties (float or double). The writer emits full-precision
@@ -7,6 +7,7 @@ float64 so a write/read round trip is lossless.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -92,15 +93,39 @@ def read_ply(path) -> Points:
     return pts
 
 
-def require_keys(doc, keys: tuple[str, ...], where, error=ValueError) -> dict:
+def read_json(path, error=ValueError):
+    """The JSON document in file ``path``; text that is not JSON raises ``error`` naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise error(f"{path}: not valid JSON: {err}") from None
+
+
+NUMBER = (int, float)
+_JSON_NAMES = {
+    dict: "object", list: "array", str: "string", int: "integer", NUMBER: "number",
+    float: "number", bool: "boolean", type(None): "null",
+}
+
+
+def require_keys(doc, keys: dict[str, type | tuple[type, ...]], where, error=ValueError) -> dict:
     """``doc``'s entries at ``keys``, in order; ``doc`` is a parsed JSON document.
 
-    Raises ``error`` naming ``where`` (a file, or a record in one) when
-    ``doc`` is not a JSON object or lacks one of the keys.
+    ``keys`` maps each key to the Python type its value must have, or a
+    tuple of them (``NUMBER``); a JSON ``true`` is not an integer. Raises
+    ``error`` naming ``where`` (a file, or a record in one) when ``doc`` is
+    not a JSON object, lacks one of the keys, or holds a value of another
+    type.
     """
     if not isinstance(doc, dict):
         raise error(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    for key in keys:
+    for key, kind in keys.items():
         if key not in doc:
             raise error(f"{where}: missing key {key!r}")
+        got = type(doc[key])
+        if got not in (kind if isinstance(kind, tuple) else (kind,)):
+            raise error(
+                f"{where}: key {key!r} must be a JSON {_JSON_NAMES[kind]}, "
+                f"got {_JSON_NAMES.get(got, got.__name__)}"
+            )
     return {key: doc[key] for key in keys}

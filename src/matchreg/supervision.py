@@ -115,6 +115,7 @@ class EndToEndResult:
     loss: float
     param_grads: list[dict[str, NDArray[np.float64]]]
     bn_batch_stats: list[tuple[NDArray[np.float64], NDArray[np.float64]]]
+    knn: list[NDArray[np.int64]]  # the (source, target) graphs, to pass back in
 
 
 def end_to_end_gradient(
@@ -127,13 +128,18 @@ def end_to_end_gradient(
     alpha: float = DEFAULT_ALPHA,
     normalization: str = "match_norm",
     mode: str = "train",
+    knn=None,
 ) -> EndToEndResult:
     """NLL loss and its exact gradient through the whole pipeline.
 
     Chains the loss gradient through the unrolled Sinkhorn iterations, the
     score map, and the feature network down to the layer parameters.
+    ``knn`` is the graphs of an earlier result for the same clouds, which
+    ``extract_features`` then does not build again.
     """
-    fx, fy, cache = extract_features(params, x, y, mode=mode, normalization=normalization)
+    fx, fy, cache = extract_features(
+        params, x, y, mode=mode, normalization=normalization, knn=knn
+    )
     scores = score_map(fx, fy)
     aug = augment_scores(scores, alpha=alpha)
     assignment, sk_cache = sinkhorn_log(aug, lam=lam, iters=iters, return_cache=True)
@@ -146,7 +152,7 @@ def end_to_end_gradient(
     d_fy = fx @ d_scores
     grads, _, _ = extract_features_backward(params, cache, d_fx, d_fy)
     stats = [(lc.bn.mean, lc.bn.var) for lc in cache.layers]
-    return EndToEndResult(loss=loss.value, param_grads=grads, bn_batch_stats=stats)
+    return EndToEndResult(loss=loss.value, param_grads=grads, bn_batch_stats=stats, knn=cache.knn)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptDataset, ManifestNotFound
-from .fileio import read_ply, require_keys, write_ply
+from .fileio import NUMBER, read_json, read_ply, require_keys, write_ply
 from .geometry import (
     Points,
     Pose,
@@ -342,11 +342,12 @@ def read_dataset(path) -> tuple[list[PairSample], dict]:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
         raise ManifestNotFound(f"no {MANIFEST_NAME} in {root}")
-    manifest = json.loads(manifest_path.read_text())
-    (config,) = require_keys(manifest, ("config",), manifest_path, CorruptDataset).values()
+    manifest = read_json(manifest_path, CorruptDataset)
+    config, records = require_keys(
+        manifest, {"config": dict, "samples": list}, manifest_path, CorruptDataset
+    ).values()
     if manifest.get("format") != DATASET_FORMAT:
         raise CorruptDataset(f"{manifest_path}: unexpected format field")
-    records = manifest.get("samples", [])
     if manifest.get("count") != len(records):
         raise CorruptDataset(
             f"{manifest_path}: count {manifest.get('count')} != {len(records)} sample records"
@@ -354,20 +355,27 @@ def read_dataset(path) -> tuple[list[PairSample], dict]:
     samples = []
     for i, rec in enumerate(records):
         where = f"{manifest_path}: sample {i}"
-        files = require_keys(rec, ("source", "target", "pose"), where, CorruptDataset).values()
+        files = require_keys(
+            rec, dict.fromkeys(("source", "target", "pose"), str), where, CorruptDataset
+        ).values()
         for name in files:
             if not (root / name).exists():
                 raise CorruptDataset(f"missing dataset file {name}")
         source, target, pose = (root / name for name in files)
         rotation, translation, shape_id, scale = require_keys(
-            json.loads(pose.read_text()), ("rotation", "translation", "shape_id", "scale"),
+            read_json(pose, CorruptDataset),
+            {"rotation": list, "translation": list, "shape_id": str, "scale": NUMBER},
             pose, CorruptDataset,
         ).values()
+        try:
+            gt_pose = Pose(np.array(rotation), np.array(translation))
+        except (TypeError, ValueError) as err:  # entries that are not numbers, or misshapen
+            raise CorruptDataset(f"{pose}: {err}") from None
         samples.append(
             PairSample(
                 source=read_ply(source),
                 target=read_ply(target),
-                gt_pose=Pose(np.array(rotation), np.array(translation)),
+                gt_pose=gt_pose,
                 shape_id=shape_id,
                 scale=float(scale),
             )

@@ -236,6 +236,7 @@ def train(
     state = init_adam(params)
     log = TrainLog(config={**asdict(cfg), "samples": len(data)})
     gt_cache: dict[int, object] = {}
+    knn_cache: dict[int, list] = {}  # a sample's clouds never change, nor their graphs
 
     if checkpoint_dir is not None:
         Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
@@ -247,21 +248,22 @@ def train(
         skipped = 0
         grad_sum: list[dict[str, NDArray[np.float64]]] | None = None
         batch_stats = []
-        for idx in picks:
-            sample = data[int(idx)]
-            gt = gt_cache.get(int(idx))
+        for i in map(int, picks):
+            sample = data[i]
+            gt = gt_cache.get(i)
             if gt is None:
                 gt = build_gt_matrix(sample.source, sample.target, sample.gt_pose, cfg.gt_thresh)
-                gt_cache[int(idx)] = gt
+                gt_cache[i] = gt
             try:
                 res = end_to_end_gradient(
                     params, sample.source, sample.target, gt,
                     lam=cfg.lam, iters=cfg.sinkhorn_iters, alpha=cfg.alpha,
-                    normalization=cfg.normalization, mode="train",
+                    normalization=cfg.normalization, mode="train", knn=knn_cache.get(i),
                 )
             except EmptyGroundTruth:
                 skipped += 1
                 continue
+            knn_cache[i] = res.knn
             loss_sum += res.loss
             used += 1
             batch_stats.append(res.bn_batch_stats)

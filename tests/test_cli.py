@@ -338,11 +338,7 @@ def test_eval_malformed_json_exits_1_naming_the_key(
 ):
     # a checkpoint or dataset file that is not a JSON object (None) or
     # lacks the key at key_path gives one error line, not a traceback
-    model = tmp_path / "model.json"
-    shutil.copy(tiny_model, model)
-    data = tmp_path / "ds"
-    shutil.copytree(tiny_dataset, data)
-    broken = model if name == "model.json" else data / name
+    model, data, broken = copy_inputs(tmp_path, tiny_model, tiny_dataset, name)
     doc = json.loads(broken.read_text())
     if key_path is None:
         doc = [doc]
@@ -352,10 +348,55 @@ def test_eval_malformed_json_exits_1_naming_the_key(
             parent = parent[key]
         del parent[key_path[-1]]
     broken.write_text(json.dumps(doc))
+    assert_eval_error_names(capsys, model, data, broken, message)
+
+
+@pytest.mark.parametrize(
+    "name, key_path, value, message",
+    [
+        ("model.json", ("layers",), 5, "key 'layers' must be a JSON array, got integer"),
+        ("model.json", ("knn_k",), True, "key 'knn_k' must be a JSON integer, got boolean"),
+        ("manifest.json", ("samples",), 5, "key 'samples' must be a JSON array, got integer"),
+        ("manifest.json", ("samples", 0, "source"), 7,
+         "sample 0: key 'source' must be a JSON string, got integer"),
+    ],
+)
+def test_eval_wrongly_typed_key_exits_1_naming_it(
+    tmp_path, capsys, tiny_model, tiny_dataset, name, key_path, value, message
+):
+    model, data, broken = copy_inputs(tmp_path, tiny_model, tiny_dataset, name)
+    doc = json.loads(broken.read_text())
+    parent = doc
+    for key in key_path[:-1]:
+        parent = parent[key]
+    parent[key_path[-1]] = value
+    broken.write_text(json.dumps(doc))
+    assert_eval_error_names(capsys, model, data, broken, message)
+
+
+@pytest.mark.parametrize("name", ["model.json", "manifest.json", "pair_00000_pose.json"])
+def test_eval_invalid_json_exits_1_naming_the_file(
+    tmp_path, capsys, tiny_model, tiny_dataset, name
+):
+    model, data, broken = copy_inputs(tmp_path, tiny_model, tiny_dataset, name)
+    broken.write_text("{not json")
+    assert_eval_error_names(capsys, model, data, broken, "not valid JSON")
+
+
+def copy_inputs(tmp_path, tiny_model, tiny_dataset, name):
+    """Copies of the model and dataset, and the path of the file ``name`` among them."""
+    model = tmp_path / "model.json"
+    shutil.copy(tiny_model, model)
+    data = tmp_path / "ds"
+    shutil.copytree(tiny_dataset, data)
+    return model, data, model if name == "model.json" else data / name
+
+
+def assert_eval_error_names(capsys, model, data, broken, message):
     assert run(["eval", "--model", str(model), "--data", str(data)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith("error: ") and str(broken) in err and message in err
+    assert err.startswith(f"error: {broken}: ") and message in err
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,62 @@ def test_match_normalize_one_cloud_form_equals_the_pair_form():
 
 
 # ---------------------------------------------------------------------------
+# Edge kernels against the (C, M, k) reference
+# ---------------------------------------------------------------------------
+
+def reference_edge_forward(f, idx):
+    """The edge max-pool written over the full (C, M, k) difference tensor."""
+    diffs = f[:, idx] - f[:, :, None]
+    amax = diffs.argmax(axis=2)  # first max wins ties
+    pooled = np.take_along_axis(diffs, amax[:, :, None], axis=2)[:, :, 0]
+    return np.vstack([f, pooled]), amax
+
+
+def reference_edge_backward(d_edge, idx, amax, c_in):
+    dp = d_edge[c_in:]
+    df = d_edge[:c_in] - dp
+    j_star = idx[np.arange(idx.shape[0])[None, :], amax]
+    rows = np.broadcast_to(np.arange(c_in)[:, None], j_star.shape)
+    np.add.at(df, (rows, j_star), dp)
+    return df
+
+
+def edge_features(kind, c, rng):
+    """A 60-point cloud and (C, M) features of the given kind over it."""
+    cloud = rng.standard_normal((60, 3))
+    if kind == "random":
+        return cloud, rng.standard_normal((c, 60))
+    if kind == "relu":  # many exact zeros, so many tied maxima
+        return cloud, np.maximum(rng.standard_normal((c, 60)), 0.0)
+    if kind == "signed_zeros":
+        return cloud, rng.choice([-0.0, 0.0, 1.0, -1.0], (c, 60))
+    cloud[20:40] = cloud[:20]  # duplicates: neighbors at distance 0, equal features
+    return cloud, rng.standard_normal((c, 3)) @ cloud.T
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["random", "relu", "duplicates", "signed_zeros"])
+@pytest.mark.parametrize("c", [3, 32, 64])
+def test_edge_kernels_equal_the_reference_bytewise(kind, c):
+    rng = np.random.default_rng(c)
+    cloud, f = edge_features(kind, c, rng)
+    idx = knn_indices(cloud, 10)
+    edge, amax = features._edge_forward(f, idx)
+    ref_edge, ref_amax = reference_edge_forward(f, idx)
+    assert_same_bytes(edge, ref_edge)
+    assert_same_bytes(amax, ref_amax)
+    d_edge = rng.standard_normal(edge.shape)
+    assert_same_bytes(
+        features._edge_backward(d_edge, idx, amax, c),
+        reference_edge_backward(d_edge, idx, ref_amax, c),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Backward pass vs. finite differences
 # ---------------------------------------------------------------------------
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matchreg.errors import EmptyGroundTruth, ShapeMismatch
-from matchreg.features import NORMALIZATION_MODES, init_net_params
+from matchreg.features import NORMALIZATION_MODES, init_net_params, knn_indices
 from matchreg.geometry import Pose, apply_pose, random_rotation_uniform
 from matchreg.supervision import (
     build_gt_matrix,
@@ -217,6 +217,24 @@ def test_e2e_deterministic():
     for a, b in zip(r1.param_grads, r2.param_grads):
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
+def test_e2e_given_its_graphs_returns_the_same_bytes(normalization, mode):
+    params, x, y, gt = e2e_setup(11)
+    kw = dict(lam=0.5, iters=12, normalization=normalization, mode=mode)
+    fresh = end_to_end_gradient(params, x, y, gt, **kw)
+    np.testing.assert_array_equal(fresh.knn[0], knn_indices(x, params.knn_k))
+    np.testing.assert_array_equal(fresh.knn[1], knn_indices(y, params.knn_k))
+    reused = end_to_end_gradient(params, x, y, gt, knn=fresh.knn, **kw)
+    assert reused.knn is fresh.knn
+    assert reused.loss == fresh.loss
+    for a, b in zip(reused.param_grads, fresh.param_grads):
+        assert a.keys() == b.keys()
+        assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+    for (mean_a, var_a), (mean_b, var_b) in zip(reused.bn_batch_stats, fresh.bn_batch_stats):
+        assert mean_a.tobytes() == mean_b.tobytes() and var_a.tobytes() == var_b.tobytes()
 
 
 # ---------------------------------------------------------------------------

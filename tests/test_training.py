@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from matchreg import training
+from matchreg import features, training
 from matchreg.errors import NaNLoss
 from matchreg.features import init_net_params
 from matchreg.metrics import (
@@ -191,7 +191,7 @@ def test_evaluate_dataset_oracle_mode_is_perfect():
 
 
 def test_evaluate_dataset_reuses_diameter_of_a_repeated_source(monkeypatch):
-    from matchreg import training
+    from matchreg import features, training
 
     data = generate_dataset(EASY_SYNTH, 2)
     repeated = [data[0], data[0], data[1], data[1], data[0]]
@@ -234,6 +234,20 @@ def test_evaluate_dataset_encodes_a_repeated_source_once(monkeypatch):
         )
     evaluate_dataset(params, repeated, opts, oracle=True)
     assert len(calls) == 3  # the oracle encodes nothing
+
+
+def test_train_builds_the_graphs_of_each_drawn_sample_once(monkeypatch):
+    data = generate_dataset(EASY_SYNTH, 3)
+    clouds = []
+    knn = features.knn_indices
+
+    def counting(points, k):
+        clouds.append(points.tobytes())
+        return knn(points, k)
+
+    monkeypatch.setattr(features, "knn_indices", counting)
+    train(quick_cfg(iterations=4, batch_size=3), data, small_params())  # 12 draws
+    assert clouds and len(set(clouds)) == len(clouds) <= 2 * len(data)
 
 
 @pytest.mark.parametrize(
