@@ -4,7 +4,8 @@
 Sinkhorn assignment -> hard matches -> weighted Kabsch, with optional ICP
 refinement. Degenerate matching never raises out of ``register``; the
 result carries the identity pose with ``converged=False`` instead so batch
-evaluation can proceed.
+evaluation can proceed. A degenerate ICP step does not raise either: ICP
+stops and keeps its last good pose.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateMatches
 from .features import NetParams, SourceEncoding, encode_source, encode_target
-from .geometry import Points, Pose, apply_pose, as_points
+from .geometry import Points, Pose, as_points
 from .matching import (
     DEFAULT_ALPHA,
     DEFAULT_LAMBDA,
@@ -103,26 +104,31 @@ def icp_refine(
     max_iters: int = 50,
     tol: float = 1e-6,
 ) -> IcpResult:
-    """Point-to-point ICP with median-based correspondence rejection.
+    """Point-to-point ICP from a partial view ``y`` into a complete model ``x``.
 
-    Each iteration matches transformed source points to their nearest
-    target, rejects pairs beyond 2.5x the median distance, and re-solves
-    the full pose. Stops when the pose delta (rotation angle in radians
-    plus translation norm) drops below ``tol``.
+    Each iteration maps every view point into the model frame under the
+    inverse of the current pose, ``(y - t) @ R``, and pairs it with its
+    nearest model point, so model points the view does not see get no
+    partner. Pairs beyond 2.5x the median distance are rejected and the full
+    model -> view pose is re-solved. Stops when the pose delta (rotation
+    angle in radians plus translation norm) drops below ``tol``. A step
+    whose kept model points are collinear, or fewer than 3, stops the loop:
+    the last good pose is returned with ``converged=False``, and
+    ``iterations`` and ``residuals`` count the completed steps only.
     """
     xp = as_points(x)
     yp = as_points(y)
-    tree = cKDTree(yp)
+    tree = cKDTree(xp)
     pose = init
     residuals: list[float] = []
     converged = False
-    iterations = 0
     for _ in range(max_iters):
-        iterations += 1
-        tx = apply_pose(pose, xp)
-        dists, nn = tree.query(tx)
+        dists, nn = tree.query((yp - pose.translation) @ pose.rotation)
         keep = dists <= ICP_REJECT_FACTOR * np.median(dists)
-        new_pose = _kabsch(xp[keep], yp[nn[keep]], np.ones(int(keep.sum())))
+        try:
+            new_pose = _kabsch(xp[nn[keep]], yp[keep], np.ones(int(keep.sum())))
+        except DegenerateMatches:
+            break
         residuals.append(float(dists[keep].mean()))
         delta_rot = np.arccos(
             np.clip((np.trace(new_pose.rotation @ pose.rotation.T) - 1) / 2, -1, 1)
@@ -133,7 +139,7 @@ def icp_refine(
             converged = True
             break
     return IcpResult(
-        pose=pose, iterations=iterations, converged=converged, residuals=tuple(residuals)
+        pose=pose, iterations=len(residuals), converged=converged, residuals=tuple(residuals)
     )
 
 
@@ -153,6 +159,8 @@ class RegisterOptions:
             raise ValueError(f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)

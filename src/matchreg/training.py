@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
         if not self.gt_thresh > 0:
             raise ValueError(f"gt_thresh must be positive, got {self.gt_thresh}")
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
 
 @dataclass

@@ -262,6 +262,7 @@ def test_register_malformed_ply(tmp_path, tiny_model, capsys):
         ("register", "--lam", "-1", "lam"),
         ("register", "--sinkhorn-iters", "0", "sinkhorn_iters"),
         ("register", "--tau", "1.5", "tau"),
+        ("register", "--alpha", "nan", "alpha"),
         ("ablate", "--inlier-thresh", "0", "inlier_thresh"),
     ],
 )

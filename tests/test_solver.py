@@ -167,17 +167,19 @@ def test_icp_zero_iterations_returns_init():
 
 
 def _icp_through_matches(x, y, init, max_iters, tol):
-    """ICP that solves each step through ``weighted_kabsch`` and Match lists."""
-    tree = cKDTree(y)
+    """ICP that solves each step through ``weighted_kabsch`` and Match lists.
+
+    Like ``icp_refine`` it pairs each view point ``y[j]``, mapped into the
+    model frame, with its nearest model point ``x[nn[j]]``.
+    """
+    tree = cKDTree(x)
     pose = init
     residuals = []
     converged = False
-    iterations = 0
     for _ in range(max_iters):
-        iterations += 1
-        dists, nn = tree.query(apply_pose(pose, x))
+        dists, nn = tree.query((y - pose.translation) @ pose.rotation)
         keep = dists <= ICP_REJECT_FACTOR * np.median(dists)
-        matches = [Match(int(i), int(nn[i]), 1.0) for i in np.nonzero(keep)[0]]
+        matches = [Match(int(nn[j]), int(j), 1.0) for j in np.nonzero(keep)[0]]
         new_pose = weighted_kabsch(x, y, matches)
         residuals.append(float(dists[keep].mean()))
         delta_rot = np.arccos(
@@ -188,14 +190,22 @@ def _icp_through_matches(x, y, init, max_iters, tol):
         if delta < tol:
             converged = True
             break
-    return pose, iterations, converged, tuple(residuals)
+    return pose, len(residuals), converged, tuple(residuals)
+
+
+PARTIAL_VIEWS = SynthConfig(m=300, n=200, noise_sigma=0.005, outlier_fraction=0.05)
+
+
+def _perturbed_start(gt, rng, max_deg=10.0):
+    """Ground truth turned by 2-``max_deg`` degrees and moved by up to 3 cm per axis."""
+    bump = rotation_about_axis(rng.standard_normal(3), np.radians(rng.uniform(2.0, max_deg)))
+    return Pose(bump @ gt.rotation, gt.translation + rng.uniform(-0.03, 0.03, 3))
 
 
 def test_icp_equals_match_list_reference():
-    cfg = SynthConfig(m=300, n=200, noise_sigma=0.005, outlier_fraction=0.05)
     for seed in range(3):
         rng = np.random.default_rng([31, seed])
-        pair = generate_pair(cfg, rng)
+        pair = generate_pair(PARTIAL_VIEWS, rng)
         gt = pair.gt_pose
         bump = rotation_about_axis(rng.standard_normal(3), np.radians(8.0))
         init = Pose(bump @ gt.rotation, gt.translation + rng.uniform(-0.03, 0.03, 3))
@@ -208,6 +218,63 @@ def test_icp_equals_match_list_reference():
         assert res.residuals == residuals
         assert np.array_equal(res.pose.rotation, pose.rotation)
         assert np.array_equal(res.pose.translation, pose.translation)
+
+
+def test_icp_refines_partial_views_from_near_ground_truth():
+    # the model's hidden side has no partner in the view; pairing view
+    # points into the model keeps it out of the fit
+    good = 0
+    for i in range(20):
+        rng = np.random.default_rng([77, i])
+        pair = generate_pair(PARTIAL_VIEWS, rng)
+        res = icp_refine(pair.source, pair.target, _perturbed_start(pair.gt_pose, rng))
+        good += rot_err_deg(res.pose.rotation, pair.gt_pose.rotation) < 0.5
+    assert good >= 18, f"only {good}/20 partial views refined below 0.5 degrees"
+
+
+def test_icp_target_shift_moves_only_the_translation():
+    shift = np.array([0.3, -0.2, 0.5])
+    for i in range(4):
+        rng = np.random.default_rng([78, i])
+        pair = generate_pair(PARTIAL_VIEWS, rng)
+        init = _perturbed_start(pair.gt_pose, rng, max_deg=5.0)
+        moved_init = Pose(init.rotation, init.translation + shift)
+        base = icp_refine(pair.source, pair.target, init, tol=1e-9)
+        moved = icp_refine(pair.source, pair.target + shift, moved_init, tol=1e-9)
+        np.testing.assert_allclose(moved.pose.rotation, base.pose.rotation, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            moved.pose.translation, base.pose.translation + shift, rtol=0, atol=1e-9
+        )
+
+
+def _view_far_from_the_model(seed):
+    """A model and a tiny view 20 units away: every view point maps to one model point."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((200, 3))
+    y = np.array([20.0, 0.0, 0.0]) + 1e-3 * rng.standard_normal((100, 3))
+    return x, y
+
+
+def test_icp_stops_at_a_degenerate_step():
+    x, y = _view_far_from_the_model(0)
+    init = Pose.identity()
+    res = icp_refine(x, y, init)
+    assert res.pose is init
+    assert (res.iterations, res.converged, res.residuals) == (0, False, ())
+
+
+def test_register_survives_a_degenerate_icp_step(monkeypatch):
+    rng = np.random.default_rng(16)
+    params = init_net_params(rng, widths=(6,), knn_k=3)
+    x, y = _view_far_from_the_model(1)
+    matches = identity_matches(10)
+    monkeypatch.setattr(solver, "extract_matches", lambda *args, **kwargs: list(matches))
+    res = register(params, x, y, RegisterOptions(use_icp=True))
+    kabsch = weighted_kabsch(x, y, matches)
+    assert res.converged
+    assert (res.icp_iterations_used, res.icp_residuals) == (0, ())
+    np.testing.assert_array_equal(res.pose.rotation, kabsch.rotation)
+    np.testing.assert_array_equal(res.pose.translation, kabsch.translation)
 
 
 def test_icp_residual_non_increasing():
@@ -338,7 +405,8 @@ def test_register_with_a_source_encoding_equals_register_without():
 @pytest.mark.parametrize(
     "field, value",
     [("lam", 0.0), ("lam", -1.0), ("lam", float("nan")), ("sinkhorn_iters", 0),
-     ("tau", 0.0), ("tau", 1.0), ("tau", float("nan"))],
+     ("tau", 0.0), ("tau", 1.0), ("tau", float("nan")), ("alpha", float("nan")),
+     ("alpha", float("inf"))],
 )
 def test_register_options_reject_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
