@@ -31,9 +31,7 @@ from .geometry import (
     Pose,
     TriangleMesh,
     apply_pose,
-    compose_pose,
     hidden_point_removal,
-    invert_pose,
     random_rotation_uniform,
     sample_mesh_surface,
 )

@@ -302,26 +302,29 @@ def cmd_register(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _parse_thresholds(raw: str) -> tuple[list[str], list[float]]:
+def _parse_thresholds(raw: str, key: str) -> tuple[list[str], list[float]]:
+    """The comma list of flag ``key``; its values key the mAP tables, so none may repeat."""
     keys = [tok.strip() for tok in raw.split(",") if tok.strip()]
     try:
         values = [float(tok) for tok in keys]
     except ValueError:
-        raise ConfigError(f"bad threshold list {raw!r}")
+        raise ConfigError(f"bad {key} list {raw!r}", key=key)
     if not values:
-        raise ConfigError("threshold list is empty")
+        raise ConfigError(f"{key} list is empty", key=key)
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{key} list {raw!r} repeats a value", key=key)
     return keys, values
 
 
 def cmd_eval(args) -> int:
     opts = _register_options(args)
     _check_inlier_thresh(args.inlier_thresh)
+    rot_keys, rot_thresholds = _parse_thresholds(args.rot_thresholds, "rot_thresholds")
+    trans_keys, trans_thresholds = _parse_thresholds(args.trans_thresholds, "trans_thresholds")
     params, normalization = load_checkpoint(args.model)
     samples, _ = read_dataset(args.data)
     if not samples:
         raise ConfigError("dataset is empty")
-    rot_keys, rot_thresholds = _parse_thresholds(args.rot_thresholds)
-    trans_keys, trans_thresholds = _parse_thresholds(args.trans_thresholds)
     report = evaluate_dataset(
         params,
         samples,
@@ -361,11 +364,11 @@ def cmd_ablate(args) -> int:
             raise ConfigError(f"unknown normalization {mode!r}")
     cfg_a = replace(cfg, normalization=NORMALIZATION_CHOICES[args.mode_a])
     cfg_b = replace(cfg, normalization=NORMALIZATION_CHOICES[args.mode_b])
+    rot_keys, rot_thresholds = _parse_thresholds(args.rot_thresholds, "rot_thresholds")
+    _, trans_thresholds = _parse_thresholds(args.trans_thresholds, "trans_thresholds")
     train_samples, _ = read_dataset(args.data)
     holdout, _ = read_dataset(args.holdout)
     params = init_net_params(np.random.default_rng(cfg.seed), widths=widths, knn_k=knn_k)
-    rot_keys, rot_thresholds = _parse_thresholds(args.rot_thresholds)
-    _, trans_thresholds = _parse_thresholds(args.trans_thresholds)
     result = ablate(
         cfg_a, cfg_b, train_samples, holdout, params,
         rot_thresholds=rot_thresholds, trans_thresholds=trans_thresholds,

@@ -231,7 +231,7 @@ class MatchNormStats:
         return self.scale[0]
 
 
-def _check_normalization(normalization: str) -> None:
+def check_normalization(normalization: str) -> None:
     if normalization not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization {normalization!r}")
 
@@ -266,7 +266,7 @@ def match_normalize(
         raise ChannelMismatch(
             f"channel counts differ: {clouds[0].shape[0]} vs {clouds[1].shape[0]}"
         )
-    _check_normalization(normalization)
+    check_normalization(normalization)
     if normalization == "none":
         zeros = tuple(np.zeros(len(a)) for a in clouds)
         return (*clouds, MatchNormStats(zeros, (1.0,) * len(clouds), (None,) * len(clouds)))
@@ -530,7 +530,7 @@ def encode_source(
     and ``enc.descriptors`` its source descriptors. Eval mode only: in
     train mode batch norm pools both clouds at every layer.
     """
-    _check_normalization(normalization)
+    check_normalization(normalization)
     knn, feats, betas = _forward(params, [as_points(x)], "eval", normalization)
     return SourceEncoding(normalization, knn[0], feats[0], betas)
 
@@ -564,7 +564,7 @@ def extract_features(
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_normalization(normalization)
+    check_normalization(normalization)
     clouds = [as_points(x), as_points(y)]
     if any(p.shape[0] <= params.knn_k for p in clouds):
         raise TooFewPoints(

@@ -1,6 +1,6 @@
 """Core 3D types and operations.
 
-Rigid-transform algebra, uniform rotation sampling, mesh surface sampling,
+Rigid transforms, uniform rotation sampling, mesh surface sampling,
 visibility-based partial views, and noise/outlier corruption. Point clouds
 are plain ``(N, 3)`` float64 arrays throughout; small value types
 (``Pose``, ``TriangleMesh``) are frozen dataclasses validated at
@@ -111,15 +111,6 @@ def apply_pose(p: Pose, pc: Points) -> Points:
     """Map every point through x -> R x + t."""
     pts = as_points(pc)
     return pts @ p.rotation.T + p.translation
-
-
-def compose_pose(a: Pose, b: Pose) -> Pose:
-    """Composite transform applying ``b`` first, then ``a``."""
-    return Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
-
-
-def invert_pose(p: Pose) -> Pose:
-    return Pose(p.rotation.T, -(p.rotation.T @ p.translation))
 
 
 def random_rotation_uniform(rng: np.random.Generator) -> Mat3:

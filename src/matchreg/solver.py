@@ -16,7 +16,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateMatches
-from .features import NetParams, SourceEncoding, encode_source, encode_target
+from .features import (
+    NetParams,
+    SourceEncoding,
+    check_normalization,
+    encode_source,
+    encode_target,
+)
 from .geometry import Points, Pose, as_points
 from .matching import (
     DEFAULT_ALPHA,
@@ -130,9 +136,10 @@ def icp_refine(
         except DegenerateMatches:
             break
         residuals.append(float(dists[keep].mean()))
-        delta_rot = np.arccos(
-            np.clip((np.trace(new_pose.rotation @ pose.rotation.T) - 1) / 2, -1, 1)
-        )
+        # the step angle from |R1 - R2|_F = 2 sqrt(2) sin(angle / 2), exact near
+        # zero, where arccos((trace - 1) / 2) rounds a zero step to about 1e-8
+        step = np.linalg.norm(new_pose.rotation - pose.rotation) / np.sqrt(8.0)
+        delta_rot = 2.0 * np.arcsin(min(1.0, step))
         delta = float(delta_rot + np.linalg.norm(new_pose.translation - pose.translation))
         pose = new_pose
         if delta < tol:
@@ -161,6 +168,7 @@ class RegisterOptions:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
         if not np.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
+        check_normalization(self.normalization)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ grid). A perfectly symmetric primitive would make the ground-truth rotation
 unrecoverable from geometry alone, so each one carries enough signature to
 pin its pose while keeping the stated primitive dimensions: box extents and
 maximum cylinder/cone height equal ``scale`` exactly, sphere vertices sit
-exactly on the ``scale/2`` sphere.
+exactly on the ``scale/2`` sphere. Every shape is convex, so each kind lists
+only its vertices at unit scale and its mesh is their convex hull, computed
+once per kind and scaled per call.
 
 ``generate_pair`` mimics a depth observation of a posed object: sample the
 model surface, pose it, keep the points visible from a random viewpoint,
@@ -15,11 +17,14 @@ resample to the target size, then corrupt with noise and outliers.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from .errors import CorruptDataset, ManifestNotFound
 from .fileio import NUMBER, read_json, read_ply, require_keys, write_ply
@@ -56,22 +61,24 @@ class SynthConfig:
     def __post_init__(self):
         if not (self.m > self.n > 0):
             raise ValueError(f"need m > n > 0, got m={self.m}, n={self.n}")
+        # the chained comparisons below reject NaN too
         lo, hi = self.scale_range
-        if not (0 < lo <= hi):
-            raise ValueError(f"bad scale_range {self.scale_range}")
+        if not (0 < lo <= hi < np.inf):
+            raise ValueError(f"bad scale_range {self.scale_range}: need finite 0 < min <= max")
         bad = [s for s in self.shapes if s not in SHAPE_KINDS]
         if bad:
             raise ValueError(f"unknown shape kind {bad[0]!r}")
-        if not self.noise_sigma >= 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not self.hpr_gamma > 0:
-            raise ValueError(f"hpr_gamma must be positive, got {self.hpr_gamma}")
+        for key in ("noise_sigma", "outlier_bound", "translation_bound"):
+            if not 0 <= getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        if not 0 < self.hpr_gamma < np.inf:
+            raise ValueError(f"hpr_gamma must be finite and positive, got {self.hpr_gamma}")
         if not (0 <= self.outlier_fraction <= 1):
             raise ValueError("outlier_fraction must be in [0, 1]")
-        if not self.outlier_bound >= 0:
-            raise ValueError(f"outlier_bound must be >= 0, got {self.outlier_bound}")
-        if self.rotation_max_deg is not None and self.rotation_max_deg <= 0:
-            raise ValueError("rotation_max_deg must be positive or None")
+        if self.rotation_max_deg is not None and not 0 < self.rotation_max_deg < np.inf:
+            raise ValueError(
+                f"rotation_max_deg must be finite and positive, or None, got {self.rotation_max_deg}"
+            )
 
 
 @dataclass(frozen=True)
@@ -87,148 +94,74 @@ class PairSample:
 # Shape construction
 # ---------------------------------------------------------------------------
 
-def _triangulate(vertices: list, polygons: list[list[int]]) -> TriangleMesh:
-    tris = []
-    for poly in polygons:
-        for i in range(1, len(poly) - 1):
-            tris.append([poly[0], poly[i], poly[i + 1]])
-    return TriangleMesh(np.asarray(vertices, dtype=float), np.asarray(tris, dtype=np.int64))
+def _box_vertices() -> Points:
+    """Unit cube with three corners cut at different depths.
 
-
-def _chamfer_corner(vertices, polygons, corner: int, frac: float):
-    """Cut a cube corner at ``frac`` of the edge length, keeping closure.
-
-    Cube edges are axis-aligned, so the cut vertex for each of the three
-    corner edges is keyed by axis; polygon neighbors of the corner (which
-    may already be cut vertices from an earlier chamfer) map to their edge
-    axis by the dominant component of their offset.
+    Three different chamfer depths leave no rotational symmetry: corners
+    sharing an edge stay clear of each other (0.55 + 0.30 < 1), and every
+    body diagonal (whose 120-degree turns preserve chamfers at its own
+    endpoints) has at least one large chamfer off-axis to break it. A cut
+    at ``frac`` of an edge moves the corner's coordinate on that edge's
+    axis from ±0.5 to ±0.5 * (1 - 2 * frac).
     """
-    p = np.asarray(vertices[corner])
-    cut_by_axis = {}
-    for axis in range(3):
-        q = p.copy()
-        q[axis] = -q[axis]
-        cut_by_axis[axis] = len(vertices)
-        vertices.append(p + frac * (q - p))
-
-    new_polys = []
-    for poly in polygons:
-        if corner not in poly:
-            new_polys.append(poly)
-            continue
-        k = poly.index(corner)
-        prev_axis = int(np.argmax(np.abs(np.asarray(vertices[poly[k - 1]]) - p)))
-        next_axis = int(np.argmax(np.abs(np.asarray(vertices[poly[(k + 1) % len(poly)]]) - p)))
-        replaced = poly[:k] + [cut_by_axis[prev_axis], cut_by_axis[next_axis]] + poly[k + 1:]
-        new_polys.append(replaced)
-
-    tri = [cut_by_axis[a] for a in range(3)]
-    centroid = np.mean([vertices[i] for i in tri], axis=0)
-    normal = np.cross(
-        np.asarray(vertices[tri[1]]) - vertices[tri[0]],
-        np.asarray(vertices[tri[2]]) - vertices[tri[0]],
-    )
-    if np.dot(normal, centroid) < 0:
-        tri = [tri[0], tri[2], tri[1]]
-    new_polys.append(tri)
-    return vertices, new_polys
+    chamfers = {(1, 1, 1): 0.55, (1, -1, 1): 0.30, (-1, 1, -1): 0.42}
+    kept = [c for c in itertools.product((-1, 1), repeat=3) if c not in chamfers]
+    cuts = [np.array(c) * (1 - 2 * frac * np.eye(3)) for c, frac in chamfers.items()]
+    return 0.5 * np.vstack([np.array(kept, dtype=float), *cuts])
 
 
-def _make_box(scale: float) -> TriangleMesh:
-    s = scale / 2
-    vertices = [
-        np.array(v, dtype=float)
-        for v in [
-            (-s, -s, -s), (s, -s, -s), (s, s, -s), (-s, s, -s),
-            (-s, -s, s), (s, -s, s), (s, s, s), (-s, s, s),
-        ]
-    ]
-    polygons = [
-        [0, 3, 2, 1],  # bottom, normal -z
-        [4, 5, 6, 7],  # top, normal +z
-        [0, 1, 5, 4],  # front, -y
-        [2, 3, 7, 6],  # back, +y
-        [0, 4, 7, 3],  # left, -x
-        [1, 2, 6, 5],  # right, +x
-    ]
-    # three different chamfer depths leave no rotational symmetry: corners
-    # sharing an edge stay clear of each other (0.55 + 0.30 < 1), and every
-    # body diagonal (whose 120-degree turns preserve chamfers at its own
-    # endpoints) has at least one large chamfer off-axis to break it
-    vertices, polygons = _chamfer_corner(vertices, polygons, corner=6, frac=0.55)
-    vertices, polygons = _chamfer_corner(vertices, polygons, corner=5, frac=0.30)
-    vertices, polygons = _chamfer_corner(vertices, polygons, corner=3, frac=0.42)
-    return _triangulate(vertices, polygons)
-
-
-def _make_cylinder(scale: float, segments: int = 18) -> TriangleMesh:
-    r = 0.35 * scale
-    tilt = 0.5 * scale
+def _cylinder_vertices(segments: int = 18) -> Points:
     phi = 2 * np.pi * np.arange(segments) / segments
-    bottom = np.column_stack([r * np.cos(phi), r * np.sin(phi), np.full(segments, -scale / 2)])
-    # planar oblique top: z = scale/2 - tilt * (1 + cos phi) / 2, max height = scale
-    top_z = scale / 2 - tilt * (1 + np.cos(phi)) / 2
-    top = np.column_stack([r * np.cos(phi), r * np.sin(phi), top_z])
-    vertices = np.vstack([bottom, top])
-    b = np.arange(segments)
-    t = segments + b
-    polys: list[list[int]] = []
-    polys.append([int(i) for i in b[::-1]])  # bottom cap, -z outward
-    polys.append([int(i) for i in t])        # top cap, +z-ish outward
-    for k in range(segments):
-        k1 = (k + 1) % segments
-        polys.append([int(b[k]), int(b[k1]), int(t[k1]), int(t[k])])
-    return _triangulate([v for v in vertices], polys)
+    ring = 0.35 * np.column_stack([np.cos(phi), np.sin(phi)])
+    top_z = (1 - np.cos(phi)) / 4  # planar oblique top: height from 1/2 up to 1
+    return np.vstack([
+        np.column_stack([ring, np.full(segments, -0.5)]),
+        np.column_stack([ring, top_z]),
+    ])
 
 
-def _make_cone(scale: float, segments: int = 24) -> TriangleMesh:
-    r = 0.35 * scale
+def _cone_vertices(segments: int = 24) -> Points:
+    r = 0.35
     phi = 2 * np.pi * np.arange(segments) / segments
-    base = np.column_stack([r * np.cos(phi), r * np.sin(phi), np.full(segments, -scale / 2)])
-    apex = np.array([0.3 * r, 0.15 * r, scale / 2])  # offset apex: no axial symmetry
-    vertices = [*base, apex]
-    a = segments
-    polys: list[list[int]] = [[int(i) for i in np.arange(segments)[::-1]]]
-    for k in range(segments):
-        k1 = (k + 1) % segments
-        polys.append([k, k1, a])
-    return _triangulate(vertices, polys)
+    base = np.column_stack([r * np.cos(phi), r * np.sin(phi), np.full(segments, -0.5)])
+    apex = np.array([0.3 * r, 0.15 * r, 0.5])  # offset apex: no axial symmetry
+    return np.vstack([base, apex])
 
 
-def _make_sphere(scale: float, meridians: int = 12, rings: int = 7) -> TriangleMesh:
-    """Sphere with a warped coarse grid: vertices sit exactly on the sphere,
-    but facet (chord) depths vary asymmetrically, which is the only way to
-    give a sphere a pose signature without moving vertices off the surface."""
-    radius = scale / 2
+def _sphere_vertices(meridians: int = 12, rings: int = 7) -> Points:
+    """Poles and a warped coarse grid on the sphere of radius 1/2.
+
+    Vertices sit exactly on the sphere, but facet (chord) depths vary
+    asymmetrically, which is the only way to give a sphere a pose signature
+    without moving vertices off the surface.
+    """
     u = np.arange(meridians) / meridians
     phi = 2 * np.pi * (u + 0.11 * np.sin(2 * np.pi * u))      # uneven meridian spacing
     v = np.arange(1, rings) / rings
     theta = np.pi * (v + 0.16 * np.sin(np.pi * v))            # north/south asymmetric rings
+    th, ph = (a.ravel() for a in np.meshgrid(theta, phi, indexing="ij"))
+    grid = np.column_stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+    return 0.5 * np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], grid])
 
-    vertices = [np.array([0.0, 0.0, radius]), np.array([0.0, 0.0, -radius])]
-    ring_start = []
-    for th in theta:
-        ring_start.append(len(vertices))
-        for ph in phi:
-            vertices.append(
-                radius * np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-            )
-    polys: list[list[int]] = []
-    first = ring_start[0]
-    for k in range(meridians):
-        k1 = (k + 1) % meridians
-        polys.append([0, first + k, first + k1])  # north cap
-    for ri in range(len(theta) - 1):
-        a0 = ring_start[ri]
-        b0 = ring_start[ri + 1]
-        for k in range(meridians):
-            k1 = (k + 1) % meridians
-            polys.append([a0 + k, b0 + k, b0 + k1, a0 + k1])
-    last = ring_start[-1]
-    for k in range(meridians):
-        k1 = (k + 1) % meridians
-        polys.append([1, last + k1, last + k])  # south cap
-    return _triangulate(vertices, polys)
+
+_VERTICES = {
+    "box": _box_vertices,
+    "cylinder": _cylinder_vertices,
+    "sphere": _sphere_vertices,
+    "cone": _cone_vertices,
+}
+
+
+@functools.cache
+def _unit_mesh(kind: str) -> TriangleMesh:
+    """Convex hull of the kind's unit-scale vertices, every face turned outward."""
+    vertices = _VERTICES[kind]()
+    hull = ConvexHull(vertices)
+    faces = hull.simplices.copy()
+    a, b, c = (vertices[faces[:, i]] for i in range(3))
+    inward = np.einsum("ij,ij->i", np.cross(b - a, c - a), hull.equations[:, :3]) < 0
+    faces[inward] = faces[inward][:, ::-1]
+    return TriangleMesh(vertices, faces)
 
 
 def make_shape(kind: str, scale: float) -> TriangleMesh:
@@ -238,15 +171,11 @@ def make_shape(kind: str, scale: float) -> TriangleMesh:
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if kind == "box":
-        return _make_box(scale)
-    if kind == "cylinder":
-        return _make_cylinder(scale)
-    if kind == "sphere":
-        return _make_sphere(scale)
-    if kind == "cone":
-        return _make_cone(scale)
-    raise ValueError(f"unknown shape kind {kind!r}")
+    if kind not in _VERTICES:
+        raise ValueError(f"unknown shape kind {kind!r}")
+    # a positive scale keeps the unit hull's triangles convex and outward
+    unit = _unit_mesh(kind)
+    return TriangleMesh(scale * unit.vertices, unit.faces)
 
 
 # ---------------------------------------------------------------------------

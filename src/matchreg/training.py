@@ -17,7 +17,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import EmptyGroundTruth, EmptyInput, NaNLoss
-from .features import NetParams, encode_source, fold_running_stats, save_checkpoint
+from .features import (
+    NetParams,
+    check_normalization,
+    encode_source,
+    fold_running_stats,
+    save_checkpoint,
+)
 from .matching import (
     DEFAULT_ALPHA,
     DEFAULT_LAMBDA,
@@ -81,6 +87,7 @@ class TrainConfig:
             raise ValueError(f"gt_thresh must be positive, got {self.gt_thresh}")
         if not np.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
+        check_normalization(self.normalization)
 
 
 @dataclass

@@ -86,6 +86,14 @@ def test_gen_zero_count(tmp_path, capsys):
         ("--hpr-gamma", "0", "hpr_gamma"),
         ("--outlier-bound", "-5", "outlier_bound"),
         ("--outlier-bound", "nan", "outlier_bound"),
+        ("--noise-sigma", "inf", "noise_sigma"),
+        ("--outlier-bound", "inf", "outlier_bound"),
+        ("--hpr-gamma", "inf", "hpr_gamma"),
+        ("--translation-bound", "inf", "translation_bound"),
+        ("--translation-bound", "nan", "translation_bound"),
+        ("--translation-bound", "-1", "translation_bound"),
+        ("--scale-max", "inf", "scale_range"),
+        ("--rotation-max-deg", "nan", "rotation_max_deg"),
         ("count", "x", "count"),  # a config file value, not a flag
     ],
 )
@@ -264,6 +272,11 @@ def test_register_malformed_ply(tmp_path, tiny_model, capsys):
         ("register", "--tau", "1.5", "tau"),
         ("register", "--alpha", "nan", "alpha"),
         ("ablate", "--inlier-thresh", "0", "inlier_thresh"),
+        ("eval", "--rot-thresholds", "abc", "rot_thresholds"),
+        ("eval", "--rot-thresholds", "1,1.0,360", "rot_thresholds"),
+        ("eval", "--trans-thresholds", "0.05,5e-2", "trans_thresholds"),
+        ("ablate", "--rot-thresholds", "abc", "rot_thresholds"),
+        ("ablate", "--trans-thresholds", "0.1,0.1", "trans_thresholds"),
     ],
 )
 def test_matching_flags_exit_2_before_reading_files(tmp_path, capsys, command, flag, value, key):

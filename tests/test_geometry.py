@@ -9,9 +9,7 @@ from matchreg.geometry import (
     TriangleMesh,
     add_noise_and_outliers,
     apply_pose,
-    compose_pose,
     hidden_point_removal,
-    invert_pose,
     random_rotation_uniform,
     rotation_about_axis,
     sample_mesh_surface,
@@ -78,49 +76,6 @@ def test_apply_pose_leaves_input_unchanged():
     before = pc.copy()
     apply_pose(random_pose(rng), pc)
     np.testing.assert_array_equal(pc, before)
-
-
-def test_compose_identity_neutral():
-    rng = np.random.default_rng(3)
-    b = random_pose(rng)
-    c = compose_pose(Pose.identity(), b)
-    np.testing.assert_allclose(c.rotation, b.rotation, atol=1e-15)
-    np.testing.assert_allclose(c.translation, b.translation, atol=1e-15)
-
-
-def test_compose_applies_right_first():
-    rng = np.random.default_rng(4)
-    a, b = random_pose(rng), random_pose(rng)
-    x = rng.standard_normal((7, 3))
-    via_compose = apply_pose(compose_pose(a, b), x)
-    via_chain = apply_pose(a, apply_pose(b, x))
-    np.testing.assert_allclose(via_compose, via_chain, atol=1e-12)
-
-
-def test_two_quarter_turns_make_half_turn():
-    q = Pose(rotation_about_axis([0, 0, 1], np.pi / 4), np.zeros(3))
-    h = compose_pose(q, q)
-    np.testing.assert_allclose(h.rotation, rotation_about_axis([0, 0, 1], np.pi / 2), atol=1e-12)
-
-
-def test_invert_pose_property():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        p = random_pose(rng)
-        q = invert_pose(p)
-        c = compose_pose(p, q)
-        assert np.linalg.norm(c.rotation - np.eye(3)) < 1e-12
-        assert np.linalg.norm(c.translation) < 1e-12
-
-
-def test_compose_associative():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        a, b, c = (random_pose(rng) for _ in range(3))
-        lhs = compose_pose(compose_pose(a, b), c)
-        rhs = compose_pose(a, compose_pose(b, c))
-        assert np.linalg.norm(lhs.rotation - rhs.rotation) < 1e-12
-        assert np.linalg.norm(lhs.translation - rhs.translation) < 1e-12
 
 
 # ---------------------------------------------------------------------------

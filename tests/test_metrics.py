@@ -145,10 +145,12 @@ def test_add_invariant_to_common_pre_transform():
     hat = Pose(random_rotation_uniform(rng), rng.uniform(-0.5, 0.5, 3))
     gt = Pose(random_rotation_uniform(rng), rng.uniform(-0.5, 0.5, 3))
     pre = Pose(random_rotation_uniform(rng), rng.uniform(-0.5, 0.5, 3))
-    from matchreg.geometry import compose_pose
+
+    def after_pre(p):  # apply p, then pre
+        return Pose(pre.rotation @ p.rotation, pre.rotation @ p.translation + pre.translation)
 
     base, _ = add_score(model, hat, gt, 1.0)
-    moved, _ = add_score(model, compose_pose(pre, hat), compose_pose(pre, gt), 1.0)
+    moved, _ = add_score(model, after_pre(hat), after_pre(gt), 1.0)
     assert abs(base - moved) < 1e-9
 
 

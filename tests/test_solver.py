@@ -182,9 +182,8 @@ def _icp_through_matches(x, y, init, max_iters, tol):
         matches = [Match(int(nn[j]), int(j), 1.0) for j in np.nonzero(keep)[0]]
         new_pose = weighted_kabsch(x, y, matches)
         residuals.append(float(dists[keep].mean()))
-        delta_rot = np.arccos(
-            np.clip((np.trace(new_pose.rotation @ pose.rotation.T) - 1) / 2, -1, 1)
-        )
+        step = np.linalg.norm(new_pose.rotation - pose.rotation) / np.sqrt(8.0)
+        delta_rot = 2.0 * np.arcsin(min(1.0, step))
         delta = float(delta_rot + np.linalg.norm(new_pose.translation - pose.translation))
         pose = new_pose
         if delta < tol:
@@ -241,6 +240,7 @@ def test_icp_target_shift_moves_only_the_translation():
         moved_init = Pose(init.rotation, init.translation + shift)
         base = icp_refine(pair.source, pair.target, init, tol=1e-9)
         moved = icp_refine(pair.source, pair.target + shift, moved_init, tol=1e-9)
+        assert base.converged and moved.converged
         np.testing.assert_allclose(moved.pose.rotation, base.pose.rotation, rtol=0, atol=1e-9)
         np.testing.assert_allclose(
             moved.pose.translation, base.pose.translation + shift, rtol=0, atol=1e-9
@@ -406,7 +406,7 @@ def test_register_with_a_source_encoding_equals_register_without():
     "field, value",
     [("lam", 0.0), ("lam", -1.0), ("lam", float("nan")), ("sinkhorn_iters", 0),
      ("tau", 0.0), ("tau", 1.0), ("tau", float("nan")), ("alpha", float("nan")),
-     ("alpha", float("inf"))],
+     ("alpha", float("inf")), ("normalization", "bogus")],
 )
 def test_register_options_reject_bad_values(field, value):
     with pytest.raises(ValueError, match=field):

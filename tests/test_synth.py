@@ -59,6 +59,24 @@ def test_box_extents_exact():
     np.testing.assert_allclose(extents, [2.0, 2.0, 2.0], atol=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.37])
+def test_box_chamfers_cut_corner_tetrahedra(scale):
+    # a cut at legs a removes a right-corner tetrahedron of volume a^3/6; its
+    # three right-triangle faces (a^2/2 each) give way to one equilateral
+    # triangle of side a*sqrt(2), area (sqrt(3)/2) a^2
+    legs_sq = (scale * np.array([0.55, 0.30, 0.42])) ** 2
+    volume = scale**3 - (legs_sq ** 1.5).sum() / 6
+    area = 6 * scale**2 - 1.5 * legs_sq.sum() + np.sqrt(3) / 2 * legs_sq.sum()
+    assert volume / scale**3 == pytest.approx(0.9554228, abs=1e-7)
+    assert area / scale**2 == pytest.approx(5.6393319, abs=1e-7)
+
+    mesh = make_shape("box", scale)
+    a, b, c = (mesh.vertices[mesh.faces[:, i]] for i in range(3))
+    mesh_volume = np.einsum("ij,ij->", a, np.cross(b, c)) / 6  # outward faces
+    assert mesh_volume == pytest.approx(volume, rel=1e-12)
+    assert mesh.face_areas().sum() == pytest.approx(area, rel=1e-12)
+
+
 def test_shapes_deterministic():
     a = make_shape("cone", 1.1)
     b = make_shape("cone", 1.1)
@@ -215,3 +233,13 @@ def test_config_validation():
         SynthConfig(shapes=("box", "torus"))
     with pytest.raises(ValueError):
         SynthConfig(scale_range=(2.0, 1.0))
+    inf, nan = float("inf"), float("nan")
+    bad_values = [
+        ("noise_sigma", inf), ("outlier_bound", inf), ("hpr_gamma", inf),
+        ("translation_bound", inf), ("translation_bound", nan), ("translation_bound", -1.0),
+        ("scale_range", (0.5, inf)), ("scale_range", (nan, 1.0)),
+        ("rotation_max_deg", nan), ("rotation_max_deg", inf),
+    ]
+    for key, value in bad_values:
+        with pytest.raises(ValueError, match=key):
+            SynthConfig(**{key: value})

@@ -254,7 +254,7 @@ def test_train_builds_the_graphs_of_each_drawn_sample_once(monkeypatch):
     "field, value",
     [("iterations", 0), ("lam", 0.0), ("lam", float("nan")), ("sinkhorn_iters", 0),
      ("eval_sinkhorn_iters", 0), ("tau", 0.0), ("tau", 1.0), ("alpha", float("nan")),
-     ("alpha", float("inf"))],
+     ("alpha", float("inf")), ("normalization", "bogus")],
 )
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
