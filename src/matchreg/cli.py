@@ -234,11 +234,7 @@ def cmd_train(args) -> int:
     save_checkpoint(args.out_model, params, normalization=cfg.normalization)
     if args.log:
         log.write_jsonl(args.log)
-    final = [r["loss"] for r in log.records if r["loss"] is not None]
-    if final:
-        print(f"trained {cfg.iterations} iterations; final loss {final[-1]:.6f}")
-    else:
-        print(f"ran {cfg.iterations} iterations; no batch was trained (every sample skipped)")
+    print(f"trained {cfg.iterations} iterations; final loss {log.records[-1]['loss']:.6f}")
     print(f"model written to {args.out_model}")
     return 0
 
@@ -332,7 +328,6 @@ def cmd_eval(args) -> int:
         rot_thresholds=rot_thresholds,
         trans_thresholds=trans_thresholds,
         inlier_thresh=args.inlier_thresh,
-        oracle=args.oracle,
         rotation_keys=rot_keys,
         translation_keys=trans_keys,
     )
@@ -475,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", dest="json_out", help="write the metrics report as JSON")
     _add_metric_flags(p)
     _add_matching_flags(p)
-    p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="compare normalization modes head to head", formatter_class=fmt)

@@ -51,7 +51,6 @@ from .geometry import Points, as_points
 FeatureArray: TypeAlias = NDArray[np.float64]  # (C, M)
 
 BN_EPS = 1e-5
-BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
 MN_SCALE_FLOOR = 1e-8
 
 NORMALIZATION_MODES = ("match_norm", "per_instance_norm", "none")
@@ -326,14 +325,6 @@ class BatchNormCache:
     var: NDArray[np.float64]       # the running ones in eval mode
 
 
-def fold_running_stats(running_mean, running_var, batch_stats):
-    """Momentum updates of running statistics, one per (mean, var), in order."""
-    for mean, var in batch_stats:
-        running_mean = BN_MOMENTUM * running_mean + (1 - BN_MOMENTUM) * mean
-        running_var = BN_MOMENTUM * running_var + (1 - BN_MOMENTUM) * var
-    return running_mean, running_var
-
-
 def batch_normalize(
     batch: Sequence[FeatureArray],
     gamma,
@@ -348,7 +339,7 @@ def batch_normalize(
     the running statistics. Returns the outputs and the ``BatchNormCache``
     its backward needs, whose ``mean`` and ``var`` are the statistics used.
     The running statistics are read, never updated: the training step folds
-    each sample's batch statistics into them (``fold_running_stats``).
+    each sample's statistics into them (``training.fold_running_stats``).
     """
     if not batch:
         raise EmptyBatch("batch_normalize received no tensors")

@@ -88,14 +88,24 @@ def map_aggregate(
     rot_thresholds=DEFAULT_ROTATION_THRESHOLDS_DEG,
     trans_thresholds=DEFAULT_TRANSLATION_THRESHOLDS_M,
 ) -> tuple[dict[float, float], dict[float, float]]:
-    """Per-threshold success fractions for rotation and translation."""
+    """Per-threshold success fractions; a repeated threshold (1 and 1.0 too) raises ValueError."""
     if not errors:
         raise EmptyInput("no samples to aggregate")
     rot = np.array([e.rotation_deg for e in errors])
     trans = np.array([e.translation for e in errors])
-    rot_map = {float(t): float(np.mean(rot <= t)) for t in rot_thresholds}
-    trans_map = {float(t): float(np.mean(trans <= t)) for t in trans_thresholds}
-    return rot_map, trans_map
+    return (
+        _fractions(rot, rot_thresholds, "rotation"),
+        _fractions(trans, trans_thresholds, "translation"),
+    )
+
+
+def _fractions(err, thresholds, name: str) -> dict[float, float]:
+    table = {}
+    for t in map(float, thresholds):
+        if t in table:
+            raise ValueError(f"{name} threshold {t!r} is repeated")
+        table[t] = float(np.mean(err <= t))
+    return table
 
 
 def count_true_inliers(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.spatial.distance import cdist
 
 from .errors import EmptyGroundTruth, ShapeMismatch
 from .features import (
@@ -73,7 +74,7 @@ def build_gt_matrix(
     yp = as_points(y)
     tx = apply_pose(pose_gt, xp)
     m, n = xp.shape[0], yp.shape[0]
-    d = np.linalg.norm(tx[:, None, :] - yp[None, :, :], axis=2)
+    d = cdist(tx, yp)
     masked = np.where(d <= d_thresh, d, np.inf)
 
     nearest_j = masked.argmin(axis=1)          # first minimum: lowest index

@@ -73,6 +73,11 @@ class SynthConfig:
                 raise ValueError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if not 0 < self.hpr_gamma < np.inf:
             raise ValueError(f"hpr_gamma must be finite and positive, got {self.hpr_gamma}")
+        if not 1 < self.viewpoint_distance_factor < np.inf:  # outside every point's sphere
+            raise ValueError(
+                "viewpoint_distance_factor must be finite and > 1, "
+                f"got {self.viewpoint_distance_factor}"
+            )
         if not (0 <= self.outlier_fraction <= 1):
             raise ValueError("outlier_fraction must be in [0, 1]")
         if self.rotation_max_deg is not None and not 0 < self.rotation_max_deg < np.inf:

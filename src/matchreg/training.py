@@ -1,14 +1,15 @@
 """Training loop, Adam optimizer, evaluation helpers, and the ablation driver.
 
 The batch gradient is the mean of per-sample end-to-end gradients; gradients
-and batch-norm running statistics are reduced in sample-index order so a
-fixed seed reproduces parameters bitwise. The ``normalization`` switch is
-the ablation axis: shared source scale (``match_norm``), one scale per
+and batch-norm running statistics are reduced once per step, in draw order,
+so a fixed seed reproduces parameters bitwise. The ``normalization`` switch
+is the ablation axis: shared source scale (``match_norm``), one scale per
 cloud (``per_instance_norm``), or no instance normalization at all.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -16,12 +17,11 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import EmptyGroundTruth, EmptyInput, NaNLoss
+from .errors import EmptyInput, NaNLoss
 from .features import (
     NetParams,
     check_normalization,
     encode_source,
-    fold_running_stats,
     save_checkpoint,
 )
 from .matching import (
@@ -51,6 +51,7 @@ LEARNABLE_FIELDS = ("weight", "bias", "bn_gamma", "bn_beta")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
 
 
 @dataclass(frozen=True)
@@ -150,17 +151,19 @@ def adam_step(
     return NetParams(layers=tuple(new_layers), knn_k=params.knn_k), state
 
 
-def _fold_running_stats(
+def fold_running_stats(
     params: NetParams,
     per_sample_stats: list[list[tuple[NDArray[np.float64], NDArray[np.float64]]]],
 ) -> NetParams:
-    """Apply batch-norm momentum updates sample by sample, in index order."""
+    """Momentum updates of each layer's running statistics, one per sample, in order."""
     layers = []
     for li, lp in enumerate(params.layers):
-        rm, rv = fold_running_stats(
-            lp.bn_running_mean, lp.bn_running_var, [stats[li] for stats in per_sample_stats]
-        )
-        layers.append(replace(lp, bn_running_mean=rm, bn_running_var=rv))
+        mean, var = lp.bn_running_mean, lp.bn_running_var
+        for stats in per_sample_stats:
+            batch_mean, batch_var = stats[li]
+            mean = BN_MOMENTUM * mean + (1 - BN_MOMENTUM) * batch_mean
+            var = BN_MOMENTUM * var + (1 - BN_MOMENTUM) * batch_var
+        layers.append(replace(lp, bn_running_mean=mean, bn_running_var=var))
     return NetParams(layers=tuple(layers), knn_k=params.knn_k)
 
 
@@ -175,7 +178,6 @@ def evaluate_dataset(
     rot_thresholds=DEFAULT_ROTATION_THRESHOLDS_DEG,
     trans_thresholds=DEFAULT_TRANSLATION_THRESHOLDS_M,
     inlier_thresh: float = DEFAULT_INLIER_THRESHOLD,
-    oracle: bool = False,
     rotation_keys: list[str] | None = None,
     translation_keys: list[str] | None = None,
 ) -> MetricsReport:
@@ -184,7 +186,7 @@ def evaluate_dataset(
     A source equal to the previous sample's is not measured or encoded
     again: its diameter and its ``encode_source`` encoding are reused, so a
     dataset of many views of one model encodes the model once per run of
-    views. The oracle scores the ground-truth poses and encodes nothing.
+    views.
     """
     if not samples:
         raise EmptyInput("no samples to evaluate")
@@ -193,26 +195,21 @@ def evaluate_dataset(
     for s in samples:
         if not np.array_equal(s.source, previous_source):
             previous_source, diameter = s.source, model_diameter(s.source)
-            encoding = None if oracle else encode_source(params, s.source, opts.normalization)
-        if oracle:
-            pose, matches, icp_iters, converged = s.gt_pose, (), 0, True
-        else:
-            result = register(params, s.source, s.target, opts, source=encoding)
-            pose, matches = result.pose, result.matches
-            icp_iters, converged = result.icp_iterations_used, result.converged
-        add_mean, add_pass = add_score(s.source, pose, s.gt_pose, diameter)
+            encoding = encode_source(params, s.source, opts.normalization)
+        result = register(params, s.source, s.target, opts, source=encoding)
+        add_mean, add_pass = add_score(s.source, result.pose, s.gt_pose, diameter)
         records.append(
             {
-                "rotation_deg": rotation_error_deg(pose.rotation, s.gt_pose.rotation),
-                "translation": translation_error(pose.translation, s.gt_pose.translation),
+                "rotation_deg": rotation_error_deg(result.pose.rotation, s.gt_pose.rotation),
+                "translation": translation_error(result.pose.translation, s.gt_pose.translation),
                 "add_mean": add_mean,
                 "add_pass": bool(add_pass),
-                "pred_matches": len(matches),
+                "pred_matches": len(result.matches),
                 "true_inliers": count_true_inliers(
-                    matches, s.source, s.target, s.gt_pose, inlier_thresh
+                    result.matches, s.source, s.target, s.gt_pose, inlier_thresh
                 ),
-                "converged": bool(converged),
-                "icp_iterations": icp_iters,
+                "converged": bool(result.converged),
+                "icp_iterations": result.icp_iterations_used,
                 "shape_id": s.shape_id,
             }
         )
@@ -251,49 +248,33 @@ def train(
         Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
     for it in range(1, cfg.iterations + 1):
-        picks = rng.integers(0, len(data), size=cfg.batch_size)
-        loss_sum = 0.0
-        used = 0
-        skipped = 0
-        grad_sum: list[dict[str, NDArray[np.float64]]] | None = None
-        batch_stats = []
-        for i in map(int, picks):
-            sample = data[i]
-            gt = gt_cache.get(i)
-            if gt is None:
-                gt = build_gt_matrix(sample.source, sample.target, sample.gt_pose, cfg.gt_thresh)
-                gt_cache[i] = gt
-            try:
-                res = end_to_end_gradient(
-                    params, sample.source, sample.target, gt,
-                    lam=cfg.lam, iters=cfg.sinkhorn_iters, alpha=cfg.alpha,
-                    normalization=cfg.normalization, mode="train", knn=knn_cache.get(i),
-                )
-            except EmptyGroundTruth:
-                skipped += 1
-                continue
+        results = []
+        for i in map(int, rng.integers(0, len(data), size=cfg.batch_size)):
+            s = data[i]
+            if i not in gt_cache:
+                gt_cache[i] = build_gt_matrix(s.source, s.target, s.gt_pose, cfg.gt_thresh)
+            res = end_to_end_gradient(
+                params, s.source, s.target, gt_cache[i],
+                lam=cfg.lam, iters=cfg.sinkhorn_iters, alpha=cfg.alpha,
+                normalization=cfg.normalization, mode="train", knn=knn_cache.get(i),
+            )
             knn_cache[i] = res.knn
-            loss_sum += res.loss
-            used += 1
-            batch_stats.append(res.bn_batch_stats)
-            if grad_sum is None:
-                grad_sum = [{k: v.copy() for k, v in g.items()} for g in res.param_grads]
-            else:
-                for acc, g in zip(grad_sum, res.param_grads):
-                    for k in acc:
-                        acc[k] += g[k]
-        if used == 0:
-            log.records.append({"iteration": it, "loss": None, "skipped": skipped})
-            continue
-        batch_loss = loss_sum / used
-        if not np.isfinite(batch_loss):
-            raise NaNLoss(it)
-        mean_grads = [{k: v / used for k, v in g.items()} for g in grad_sum]
-        if not all(np.all(np.isfinite(v)) for g in mean_grads for v in g.values()):
+            results.append(res)
+        # One reduction per step, in draw order: the sums a parallel step must
+        # reproduce to keep parameters and logs byte-identical.
+        n = len(results)
+        batch_loss = sum(r.loss for r in results) / n
+        mean_grads = [
+            {k: functools.reduce(np.add, (r.param_grads[li][k] for r in results)) / n for k in g}
+            for li, g in enumerate(results[0].param_grads)
+        ]
+        values = [batch_loss, *(v for g in mean_grads for v in g.values())]
+        if not all(np.all(np.isfinite(v)) for v in values):
             raise NaNLoss(it)
         params, state = adam_step(params, mean_grads, state, cfg)
-        params = _fold_running_stats(params, batch_stats)
-        log.records.append({"iteration": it, "loss": batch_loss, "skipped": skipped})
+        params = fold_running_stats(params, [r.bn_batch_stats for r in results])
+        # "skipped" stays for the log format; every source row has a GT entry
+        log.records.append({"iteration": it, "loss": batch_loss, "skipped": 0})
 
         if cfg.checkpoint_every > 0 and it % cfg.checkpoint_every == 0:
             if checkpoint_dir is not None:

@@ -169,22 +169,6 @@ def test_train_bad_config_exits_2_before_loading_data(tmp_path, capsys, flag, va
     assert key in capsys.readouterr().err
 
 
-def test_train_with_every_batch_skipped(tmp_path, capsys, tiny_dataset, monkeypatch):
-    from matchreg import training
-    from matchreg.errors import EmptyGroundTruth
-
-    def no_ground_truth(*args, **kwargs):
-        raise EmptyGroundTruth("ground-truth matrix has no entries")
-
-    monkeypatch.setattr(training, "end_to_end_gradient", no_ground_truth)
-    code = run([
-        "train", "--data", tiny_dataset, "--out-model", str(tmp_path / "m.json"),
-        "--iterations", "2", "--batch-size", "2", "--widths", "6,6", "--knn-k", "3",
-    ])
-    assert code == 0
-    assert "no batch was trained" in capsys.readouterr().out
-
-
 def test_train_missing_dataset(tmp_path, capsys):
     code = run([
         "train", "--data", str(tmp_path / "nope"), "--out-model", str(tmp_path / "m.json"),
@@ -294,24 +278,11 @@ def test_matching_flags_exit_2_before_reading_files(tmp_path, capsys, command, f
     assert key in capsys.readouterr().err
 
 
-def test_eval_oracle_is_perfect(tmp_path, tiny_model, tiny_dataset):
-    out = tmp_path / "report.json"
-    code = run([
-        "eval", "--model", tiny_model, "--data", tiny_dataset,
-        "--json-out", str(out), "--oracle",
-    ])
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert all(v == 1.0 for v in doc["rotation_map"].values())
-    assert all(v == 1.0 for v in doc["translation_map"].values())
-    assert doc["add_rate"] == 1.0
-
-
 def test_eval_threshold_keys_echo_exactly(tmp_path, tiny_model, tiny_dataset):
     out = tmp_path / "report.json"
     code = run([
         "eval", "--model", tiny_model, "--data", tiny_dataset, "--json-out", str(out),
-        "--rot-thresholds", "7.5,30", "--trans-thresholds", "0.015,0.2", "--oracle",
+        "--rot-thresholds", "7.5,30", "--trans-thresholds", "0.015,0.2",
     ])
     assert code == 0
     doc = json.loads(out.read_text())

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchreg import features
+from matchreg import features, training
 from matchreg.errors import ChannelMismatch, EmptyBatch, ShapeMismatch, TooFewPoints
 from matchreg.features import (
     LayerParams,
@@ -15,7 +15,6 @@ from matchreg.features import (
     encode_target,
     extract_features,
     extract_features_backward,
-    fold_running_stats,
     init_net_params,
     knn_indices,
     load_checkpoint,
@@ -218,7 +217,9 @@ def test_bn_single_instance_stats():
     _, cache = batch_normalize(
         [t], np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), mode="train"
     )
-    rm, rv = fold_running_stats(np.zeros(2), np.ones(2), [(cache.mean, cache.var)])
+    params = init_net_params(rng, widths=(2,), knn_k=3)  # running stats 0 and 1
+    folded = training.fold_running_stats(params, [[(cache.mean, cache.var)]]).layers[0]
+    rm, rv = folded.bn_running_mean, folded.bn_running_var
     np.testing.assert_allclose(rm, 0.1 * t.mean(axis=1), rtol=1e-12)
     np.testing.assert_allclose(rv, 0.9 + 0.1 * t.var(axis=1), rtol=1e-12)
 

@@ -182,6 +182,14 @@ def test_map_monotone_in_threshold():
     assert all(0 <= v <= 1 for v in rv + tv)
 
 
+def test_map_rejects_a_repeated_threshold():
+    errs = [PoseErrors(0.5, 0.0), PoseErrors(100.0, 0.0)]
+    with pytest.raises(ValueError, match="rotation threshold 1.0"):
+        map_aggregate(errs, rot_thresholds=(1, 1.0, 360))
+    with pytest.raises(ValueError, match="translation threshold 0.01"):
+        map_aggregate(errs, trans_thresholds=(0.01, 0.01))
+
+
 def test_map_empty_raises():
     with pytest.raises(EmptyInput):
         map_aggregate([])

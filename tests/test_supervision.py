@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from matchreg import supervision
 from matchreg.errors import EmptyGroundTruth, ShapeMismatch
 from matchreg.features import NORMALIZATION_MODES, init_net_params, knn_indices
 from matchreg.geometry import Pose, apply_pose, random_rotation_uniform
@@ -12,6 +13,7 @@ from matchreg.supervision import (
     nll_loss,
     svd_gradient_probe,
 )
+from matchreg.synth import SynthConfig, generate_pair
 
 
 def random_pose(rng):
@@ -68,6 +70,23 @@ def test_gt_bipartite_over_random_instances():
         cols = interior.sum(axis=0) + gt.values[15, :11]
         np.testing.assert_array_equal(rows, 1)
         np.testing.assert_array_equal(cols, 1)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.005])
+def test_gt_labels_equal_the_dense_norm_labels(monkeypatch, noise_sigma):
+    # a padded 1024/768 view; without noise its repeated points tie exactly,
+    # which exercises the lowest-index rule
+    cfg = SynthConfig(noise_sigma=noise_sigma, outlier_fraction=0.05, seed=4)
+    pair = generate_pair(cfg, np.random.default_rng(4))
+    if noise_sigma == 0.0:
+        assert len(np.unique(pair.target, axis=0)) < cfg.n
+    gt = build_gt_matrix(pair.source, pair.target, pair.gt_pose)
+    monkeypatch.setattr(
+        supervision, "cdist", lambda a, b: np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    )
+    dense = build_gt_matrix(pair.source, pair.target, pair.gt_pose)
+    assert gt.inlier_count == dense.inlier_count > 0
+    np.testing.assert_array_equal(gt.values, dense.values)
 
 
 def test_gt_column_permutation_equivariance():

@@ -239,6 +239,9 @@ def test_config_validation():
         ("translation_bound", inf), ("translation_bound", nan), ("translation_bound", -1.0),
         ("scale_range", (0.5, inf)), ("scale_range", (nan, 1.0)),
         ("rotation_max_deg", nan), ("rotation_max_deg", inf),
+        ("viewpoint_distance_factor", 0.0), ("viewpoint_distance_factor", -1.0),
+        ("viewpoint_distance_factor", 1.0), ("viewpoint_distance_factor", inf),
+        ("viewpoint_distance_factor", nan),
     ]
     for key, value in bad_values:
         with pytest.raises(ValueError, match=key):

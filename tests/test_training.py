@@ -1,5 +1,7 @@
 """Training loop behavior: determinism, Adam, learning progress, ablation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from matchreg.metrics import (
     translation_error,
 )
 from matchreg.solver import register
+from matchreg.supervision import build_gt_matrix, end_to_end_gradient
 from matchreg.synth import SynthConfig, generate_dataset
 from matchreg.training import (
     TrainConfig,
@@ -85,6 +88,45 @@ def test_training_loss_is_finite_and_logged():
     assert len(log.records) == 4
     for r in log.records:
         assert r["loss"] is not None and np.isfinite(r["loss"])
+
+
+def test_one_step_is_adam_over_the_draw_order_mean_then_the_fold():
+    # the reduction a step must keep however its samples are computed
+    data = generate_dataset(EASY_SYNTH, 3)
+    cfg = quick_cfg(iterations=1, batch_size=4)  # four draws of three: one repeats
+    picks = np.random.default_rng(cfg.seed).integers(0, len(data), size=cfg.batch_size)
+    params0 = small_params(4)
+    results = []
+    for s in (data[i] for i in picks):
+        gt = build_gt_matrix(s.source, s.target, s.gt_pose, cfg.gt_thresh)
+        results.append(end_to_end_gradient(
+            params0, s.source, s.target, gt, lam=cfg.lam, iters=cfg.sinkhorn_iters,
+            alpha=cfg.alpha, normalization=cfg.normalization,
+        ))
+    loss = results[0].loss
+    grads = [{k: v.copy() for k, v in g.items()} for g in results[0].param_grads]
+    for r in results[1:]:
+        loss += r.loss
+        for acc, g in zip(grads, r.param_grads):
+            for k in acc:
+                acc[k] += g[k]
+    mean = [{k: v / len(results) for k, v in g.items()} for g in grads]
+    expected, _ = adam_step(params0, mean, init_adam(params0), cfg)
+    momentum = training.BN_MOMENTUM
+    layers = []
+    for li, lp in enumerate(expected.layers):
+        rm, rv = lp.bn_running_mean, lp.bn_running_var
+        for r in results:
+            batch_mean, batch_var = r.bn_batch_stats[li]
+            rm = momentum * rm + (1 - momentum) * batch_mean
+            rv = momentum * rv + (1 - momentum) * batch_var
+        layers.append(replace(lp, bn_running_mean=rm, bn_running_var=rv))
+
+    params, log = train(cfg, data, params0)
+    assert log.records == [{"iteration": 1, "loss": loss / len(results), "skipped": 0}]
+    for got, want in zip(params.layers, layers):
+        for name in ("weight", "bias", "bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_non_finite_gradient_raises_before_the_update(monkeypatch):
@@ -180,14 +222,10 @@ def test_ablate_identical_configs_identical_reports():
     assert rep.report_a.mean_true_inliers == rep.report_b.mean_true_inliers
 
 
-def test_evaluate_dataset_oracle_mode_is_perfect():
-    data = generate_dataset(EASY_SYNTH, 4)
-    report = evaluate_dataset(
-        small_params(11), data, eval_options(quick_cfg()), oracle=True
-    )
-    assert all(v == 1.0 for v in report.rotation_map.values())
-    assert all(v == 1.0 for v in report.translation_map.values())
-    assert report.add_rate == 1.0
+def test_evaluate_dataset_rejects_a_repeated_threshold():
+    data = generate_dataset(EASY_SYNTH, 2)
+    with pytest.raises(ValueError, match="rotation threshold 5.0"):
+        evaluate_dataset(small_params(), data, eval_options(quick_cfg()), rot_thresholds=(5, 5.0))
 
 
 def test_evaluate_dataset_reuses_diameter_of_a_repeated_source(monkeypatch):
@@ -232,8 +270,6 @@ def test_evaluate_dataset_encodes_a_repeated_source_once(monkeypatch):
         assert rec["true_inliers"] == count_true_inliers(
             plain.matches, s.source, s.target, s.gt_pose, DEFAULT_INLIER_THRESHOLD
         )
-    evaluate_dataset(params, repeated, opts, oracle=True)
-    assert len(calls) == 3  # the oracle encodes nothing
 
 
 def test_train_builds_the_graphs_of_each_drawn_sample_once(monkeypatch):
