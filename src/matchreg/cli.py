@@ -3,9 +3,9 @@
 Subcommands: ``gen`` (synthetic datasets), ``train``, ``register`` (one
 pair), ``eval`` (batch metrics), ``ablate`` (normalization comparison), and
 ``probe-svd`` (gradient instability sweep). Config files are JSON with the
-same keys as the flags; explicit flags win over file values, unknown keys
-are rejected by name. Exit codes: 0 success, 1 runtime/IO failure, 2
-usage or configuration error.
+same keys as the flags, each value read as its flag's text would be; flags
+win over file values, unknown keys are rejected by name. Exit codes: 0
+success, 1 runtime/IO failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .features import (
     load_checkpoint,
     save_checkpoint,
 )
-from .fileio import read_json, read_ply
+from .fileio import read_json, read_ply, write_json
 from .metrics import (
     DEFAULT_INLIER_THRESHOLD,
     DEFAULT_ROTATION_THRESHOLDS_DEG,
@@ -54,30 +53,71 @@ def _load_config_file(path, allowed: dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     for key in doc:
         if key not in allowed:
-            raise ConfigError(f"unknown config key {key!r}", key=key)
+            raise ConfigError(f"unknown config key {key!r}")
     return doc
 
 
-def _merged(args, parser_defaults: dict, file_values: dict, key: str):
-    """Flag wins when explicitly given, then file value, then default."""
-    flag_val = getattr(args, key)
-    if flag_val is not None:
-        return flag_val
-    if key in file_values:
-        return file_values[key]
-    return parser_defaults[key]
+def _cast(key: str, kind, value):
+    """``value`` read the way the text of flag ``key`` is read: ``kind(str(value))``.
+
+    So a config-file value means what the same text given as the flag
+    means: a JSON ``2.5``, ``2.0``, ``true`` or list is no integer.
+    """
+    try:
+        return kind(str(value))
+    except ValueError:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {json.dumps(value)}") from None
 
 
-def _typed(get, keys: dict, reshaped: tuple[str, ...]) -> dict:
-    """Every key of ``keys`` not in ``reshaped``, merged by ``get`` and cast to its flag type."""
-    return {key: kind(get(key)) for key, (kind, _) in keys.items() if key not in reshaped}
+def _values(args, keys: dict, defaults: dict) -> dict:
+    """Every key of ``keys``: the flag if given, else the config file's value, else the default.
+
+    Each value is cast by ``_cast``; ``null`` stays only where the default is None.
+    """
+    file_values = _load_config_file(args.config, keys) if args.config else {}
+    given = {key: value for key, value in vars(args).items() if key in keys}
+    return {
+        key: None if value is None and defaults[key] is None else _cast(key, keys[key][0], value)
+        for key, value in {**defaults, **file_values, **given}.items()
+    }
+
+
+def _comma_list(key: str, raw: str, kind) -> tuple[list[str], list]:
+    """The tokens of comma list ``raw`` and their values as ``kind``.
+
+    An empty list, or a token ``kind`` cannot read, raises ``ConfigError``
+    naming ``key``.
+    """
+    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    try:
+        values = [kind(tok) for tok in tokens]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError(f"{key} must be a comma list of {kind.__name__} values, got {raw!r}")
+    return tokens, values
+
+
+def _config(cls, **kw):
+    """``cls(**kw)``, whose check of a config dataclass's values exits 2 as a ``ConfigError``."""
+    try:
+        return cls(**kw)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
+def _mode(name: str) -> str:
+    """The normalization mode of CLI name ``name``."""
+    if name not in NORMALIZATION_CHOICES:
+        raise ConfigError(f"unknown normalization {name!r}")
+    return NORMALIZATION_CHOICES[name]
 
 
 def _add_config_flags(p, keys: dict, defaults: dict, hidden: tuple[str, ...] = ()) -> None:
     """``--config`` and one flag per config key, typed and described by ``keys``.
 
-    The flags default to None, so ``_merged`` can tell a flag given from one
-    left to the file or to ``defaults``; the help states that default.
+    The flags have no default (``argparse.SUPPRESS``), so ``_values`` sees
+    only the flags given; the help states the default of ``defaults``.
     """
     p.add_argument("--config", help="JSON config file (flags override it)")
     for key, (kind, text) in keys.items():
@@ -86,7 +126,7 @@ def _add_config_flags(p, keys: dict, defaults: dict, hidden: tuple[str, ...] = (
         elif defaults[key] is not None:
             text = f"{text} (default: {defaults[key]})"
         p.add_argument(
-            "--" + key.replace("_", "-"), dest=key, type=kind, default=None,
+            "--" + key.replace("_", "-"), dest=key, type=kind, default=argparse.SUPPRESS,
             choices=sorted(NORMALIZATION_CHOICES) if key == "normalization" else None,
             help=text,
         )
@@ -112,8 +152,6 @@ GEN_KEYS = {
     "hpr_gamma": (float, "hidden-point-removal radius factor"),
     "translation_bound": (float, "uniform translation box half-width"),
 }
-# gen keys that SynthConfig takes in another form, or not at all
-GEN_RESHAPED = ("count", "rotation_max_deg", "scale_min", "scale_max", "shapes")
 
 _SYNTH = SynthConfig()
 GEN_DEFAULTS = {
@@ -126,29 +164,16 @@ GEN_DEFAULTS = {
 
 
 def cmd_gen(args) -> int:
-    file_values = _load_config_file(args.config, GEN_KEYS) if args.config else {}
-    get = lambda key: _merged(args, GEN_DEFAULTS, file_values, key)
-    try:
-        count = int(get("count"))
-    except ValueError as err:
-        raise ConfigError(f"count must be an integer: {err}", key="count")
+    values = _values(args, GEN_KEYS, GEN_DEFAULTS)
+    count = values.pop("count")
     if count < 1:
-        raise ConfigError("count must be >= 1", key="count")
-    shapes_raw = get("shapes")
-    shapes = tuple(s.strip() for s in shapes_raw.split(",") if s.strip())
+        raise ConfigError("count must be >= 1")
+    _, shapes = _comma_list("shapes", values.pop("shapes"), str)
     for s in shapes:
         if s not in SHAPE_KINDS:
-            raise ConfigError(f"unknown value for key 'shapes': {s!r}", key="shapes")
-    rot_max = get("rotation_max_deg")
-    try:
-        cfg = SynthConfig(
-            **_typed(get, GEN_KEYS, GEN_RESHAPED),
-            rotation_max_deg=None if rot_max is None else float(rot_max),
-            scale_range=(float(get("scale_min")), float(get("scale_max"))),
-            shapes=shapes,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err))
+            raise ConfigError(f"unknown value for key 'shapes': {s!r}")
+    scale_range = (values.pop("scale_min"), values.pop("scale_max"))
+    cfg = _config(SynthConfig, **values, scale_range=scale_range, shapes=tuple(shapes))
     samples = generate_dataset(cfg, count)
     write_dataset(args.out, samples, cfg)
     print(f"wrote {count} samples to {args.out}")
@@ -176,8 +201,6 @@ TRAIN_KEYS = {
     "knn_k": (int, "edge-feature neighborhood size"),
     "widths": (str, "comma list of layer widths"),
 }
-# training keys that TrainConfig takes in another form, or not at all
-TRAIN_RESHAPED = ("normalization", "knn_k", "widths")
 
 _TRAIN = TrainConfig()
 TRAIN_DEFAULTS = {
@@ -193,38 +216,21 @@ TRAIN_DEFAULTS = {
 ABLATE_HIDDEN = ("normalization", "checkpoint_every")
 
 
-def _train_config_from(args, file_values) -> tuple[TrainConfig, int, tuple[int, ...]]:
-    get = lambda key: _merged(args, TRAIN_DEFAULTS, file_values, key)
-    norm_cli = get("normalization")
-    if norm_cli not in NORMALIZATION_CHOICES:
-        raise ConfigError(
-            f"unknown value for key 'normalization': {norm_cli!r}", key="normalization"
-        )
-    raw_widths = str(get("widths"))
-    try:
-        widths = tuple(int(w) for w in raw_widths.split(",") if w.strip())
-    except ValueError:
-        widths = ()
-    if not widths or min(widths) < 1:
-        raise ConfigError(
-            f"widths must be a comma list of positive integers, got {raw_widths!r}", key="widths"
-        )
-    try:
-        cfg = TrainConfig(
-            **_typed(get, TRAIN_KEYS, TRAIN_RESHAPED),
-            normalization=NORMALIZATION_CHOICES[norm_cli],
-        )
-        knn_k = int(get("knn_k"))
-    except ValueError as err:
-        raise ConfigError(str(err))
+def _train_config_from(args) -> tuple[TrainConfig, int, tuple[int, ...]]:
+    values = _values(args, TRAIN_KEYS, TRAIN_DEFAULTS)
+    raw_widths = values.pop("widths")
+    _, widths = _comma_list("widths", raw_widths, int)
+    if min(widths) < 1:
+        raise ConfigError(f"widths must all be >= 1, got {raw_widths!r}")
+    knn_k = values.pop("knn_k")
     if knn_k < 1:
-        raise ConfigError(f"knn_k must be >= 1, got {knn_k}", key="knn_k")
-    return cfg, knn_k, widths
+        raise ConfigError(f"knn_k must be >= 1, got {knn_k}")
+    normalization = _mode(values.pop("normalization"))
+    return _config(TrainConfig, **values, normalization=normalization), knn_k, tuple(widths)
 
 
 def cmd_train(args) -> int:
-    file_values = _load_config_file(args.config, TRAIN_KEYS) if args.config else {}
-    cfg, knn_k, widths = _train_config_from(args, file_values)
+    cfg, knn_k, widths = _train_config_from(args)
     samples, _ = read_dataset(args.data)
     val = None
     if args.val_data:
@@ -248,21 +254,19 @@ def _register_options(args) -> RegisterOptions:
 
     The normalization is the checkpoint's; it is filled in once that is loaded.
     """
-    try:
-        return RegisterOptions(
-            lam=args.lam,
-            sinkhorn_iters=args.sinkhorn_iters,
-            tau=args.tau,
-            alpha=args.alpha,
-            use_icp=args.icp,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err))
+    return _config(
+        RegisterOptions,
+        lam=args.lam,
+        sinkhorn_iters=args.sinkhorn_iters,
+        tau=args.tau,
+        alpha=args.alpha,
+        use_icp=args.icp,
+    )
 
 
 def _check_inlier_thresh(value: float) -> None:
     if not value > 0:  # rejects NaN too
-        raise ConfigError(f"inlier_thresh must be positive, got {value}", key="inlier_thresh")
+        raise ConfigError(f"inlier_thresh must be positive, got {value}")
 
 
 def cmd_register(args) -> int:
@@ -290,7 +294,7 @@ def cmd_register(args) -> int:
             "converged": result.converged,
             "icp_iterations_used": result.icp_iterations_used,
         }
-        Path(args.json_out).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        write_json(args.json_out, doc)
     return 0
 
 
@@ -298,25 +302,19 @@ def cmd_register(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _parse_thresholds(raw: str, key: str) -> tuple[list[str], list[float]]:
+def _thresholds(key: str, raw: str) -> tuple[list[str], list[float]]:
     """The comma list of flag ``key``; its values key the mAP tables, so none may repeat."""
-    keys = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    try:
-        values = [float(tok) for tok in keys]
-    except ValueError:
-        raise ConfigError(f"bad {key} list {raw!r}", key=key)
-    if not values:
-        raise ConfigError(f"{key} list is empty", key=key)
+    tokens, values = _comma_list(key, raw, float)
     if len(set(values)) < len(values):
-        raise ConfigError(f"{key} list {raw!r} repeats a value", key=key)
-    return keys, values
+        raise ConfigError(f"{key} list {raw!r} repeats a value")
+    return tokens, values
 
 
 def cmd_eval(args) -> int:
     opts = _register_options(args)
     _check_inlier_thresh(args.inlier_thresh)
-    rot_keys, rot_thresholds = _parse_thresholds(args.rot_thresholds, "rot_thresholds")
-    trans_keys, trans_thresholds = _parse_thresholds(args.trans_thresholds, "trans_thresholds")
+    rot_keys, rot_thresholds = _thresholds("rot_thresholds", args.rot_thresholds)
+    trans_keys, trans_thresholds = _thresholds("trans_thresholds", args.trans_thresholds)
     params, normalization = load_checkpoint(args.model)
     samples, _ = read_dataset(args.data)
     if not samples:
@@ -351,16 +349,12 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ablate(args) -> int:
-    file_values = _load_config_file(args.config, TRAIN_KEYS) if args.config else {}
-    cfg, knn_k, widths = _train_config_from(args, file_values)
+    cfg, knn_k, widths = _train_config_from(args)
     _check_inlier_thresh(args.inlier_thresh)
-    for mode in (args.mode_a, args.mode_b):
-        if mode not in NORMALIZATION_CHOICES:
-            raise ConfigError(f"unknown normalization {mode!r}")
-    cfg_a = replace(cfg, normalization=NORMALIZATION_CHOICES[args.mode_a])
-    cfg_b = replace(cfg, normalization=NORMALIZATION_CHOICES[args.mode_b])
-    rot_keys, rot_thresholds = _parse_thresholds(args.rot_thresholds, "rot_thresholds")
-    _, trans_thresholds = _parse_thresholds(args.trans_thresholds, "trans_thresholds")
+    cfg_a = replace(cfg, normalization=_mode(args.mode_a))
+    cfg_b = replace(cfg, normalization=_mode(args.mode_b))
+    rot_keys, rot_thresholds = _thresholds("rot_thresholds", args.rot_thresholds)
+    _, trans_thresholds = _thresholds("trans_thresholds", args.trans_thresholds)
     train_samples, _ = read_dataset(args.data)
     holdout, _ = read_dataset(args.holdout)
     params = init_net_params(np.random.default_rng(cfg.seed), widths=widths, knn_k=knn_k)
@@ -377,9 +371,7 @@ def cmd_ablate(args) -> int:
         fb = result.report_b.rotation_map[float(thr)]
         print(f"{'rot mAP @ ' + key + ' deg':24}{fa:>20.4f}{fb:>20.4f}")
     if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(result.to_json_dict(), sort_keys=True, indent=1) + "\n"
-        )
+        write_json(args.json_out, result.to_json_dict())
     return 0
 
 
@@ -388,14 +380,9 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_probe_svd(args) -> int:
-    try:
-        gaps = [float(tok) for tok in args.gaps.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"bad gaps list {args.gaps!r}")
-    if not gaps:
-        raise ConfigError("gaps list is empty")
-    if any(g <= 0 for g in gaps):
-        raise ConfigError("all gaps must be positive")
+    _, gaps = _comma_list("gaps", args.gaps, float)
+    if not all(0 < g < np.inf for g in gaps):  # rejects NaN too
+        raise ConfigError("all gaps must be finite and positive")
     print("sigma_gap\tgradient_magnitude")
     for gap in gaps:
         print(f"{gap}\t{svd_gradient_probe(gap)}")

@@ -76,7 +76,3 @@ class CorruptDataset(MatchregError):
 
 class ConfigError(MatchregError):
     """Bad configuration key or value (CLI exit code 2)."""
-
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
-        self.key = key

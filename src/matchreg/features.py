@@ -34,10 +34,8 @@ finite differences to first order away from ties.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
-from pathlib import Path
 from typing import Sequence, TypeAlias
 
 import numpy as np
@@ -45,7 +43,7 @@ from numpy.typing import NDArray
 from scipy.spatial import cKDTree
 
 from .errors import ChannelMismatch, EmptyBatch, ShapeMismatch, TooFewPoints
-from .fileio import read_json, require_keys
+from .fileio import read_json, require_keys, write_json
 from .geometry import Points, as_points
 
 FeatureArray: TypeAlias = NDArray[np.float64]  # (C, M)
@@ -624,7 +622,7 @@ def save_checkpoint(path, params: NetParams, normalization: str = "match_norm") 
             for lp in params.layers
         ],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path) -> tuple[NetParams, str]:

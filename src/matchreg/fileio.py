@@ -101,6 +101,11 @@ def read_json(path, error=ValueError):
         raise error(f"{path}: not valid JSON: {err}") from None
 
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` to file ``path`` as JSON, keys sorted: equal documents give equal bytes."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
 NUMBER = (int, float)
 _JSON_NAMES = {
     dict: "object", list: "array", str: "string", int: "integer", NUMBER: "number",

@@ -7,13 +7,12 @@ precision-recall curve area.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyInput
+from .fileio import write_json
 from .geometry import Points, Pose, apply_pose, as_points
 
 DEFAULT_ROTATION_THRESHOLDS_DEG = (5.0, 10.0, 20.0)
@@ -88,24 +87,26 @@ def map_aggregate(
     rot_thresholds=DEFAULT_ROTATION_THRESHOLDS_DEG,
     trans_thresholds=DEFAULT_TRANSLATION_THRESHOLDS_M,
 ) -> tuple[dict[float, float], dict[float, float]]:
-    """Per-threshold success fractions; a repeated threshold (1 and 1.0 too) raises ValueError."""
+    """Per-threshold success fractions; thresholds are checked by ``check_thresholds``."""
     if not errors:
         raise EmptyInput("no samples to aggregate")
+    check_thresholds(rot_thresholds, trans_thresholds)
     rot = np.array([e.rotation_deg for e in errors])
     trans = np.array([e.translation for e in errors])
     return (
-        _fractions(rot, rot_thresholds, "rotation"),
-        _fractions(trans, trans_thresholds, "translation"),
+        {t: float(np.mean(rot <= t)) for t in map(float, rot_thresholds)},
+        {t: float(np.mean(trans <= t)) for t in map(float, trans_thresholds)},
     )
 
 
-def _fractions(err, thresholds, name: str) -> dict[float, float]:
-    table = {}
-    for t in map(float, thresholds):
-        if t in table:
-            raise ValueError(f"{name} threshold {t!r} is repeated")
-        table[t] = float(np.mean(err <= t))
-    return table
+def check_thresholds(rot_thresholds, trans_thresholds) -> None:
+    """Raise ValueError naming a threshold that repeats (1 and 1.0 too): each keys a table entry."""
+    for name, thresholds in (("rotation", rot_thresholds), ("translation", trans_thresholds)):
+        seen = set()
+        for t in map(float, thresholds):
+            if t in seen:
+                raise ValueError(f"{name} threshold {t!r} is repeated")
+            seen.add(t)
 
 
 def count_true_inliers(
@@ -156,7 +157,7 @@ class MetricsReport:
         }
 
     def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True, indent=1) + "\n")
+        write_json(path, self.to_json_dict())
 
 
 def build_report(

@@ -192,8 +192,8 @@ def svd_gradient_probe(sigma_gap: float) -> float:
     SVD node differentiates U and V separately, and those sensitivities
     scale like 1 / (sigma_1^2 - sigma_2^2).
     """
-    if sigma_gap <= 0:
-        raise ValueError("sigma_gap must be positive")
+    if not 0 < sigma_gap < np.inf:  # rejects NaN too
+        raise ValueError("sigma_gap must be finite and positive")
     u0, v0 = _probe_frame()
     h = u0 @ np.diag([1.0 + sigma_gap, 1.0, 0.5]) @ v0.T
     u_ref, v_ref = _aligned_svd(h, u0, v0)

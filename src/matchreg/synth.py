@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .errors import CorruptDataset, ManifestNotFound
-from .fileio import NUMBER, read_json, read_ply, require_keys, write_ply
+from .fileio import NUMBER, read_json, read_ply, require_keys, write_json, write_ply
 from .geometry import (
     Points,
     Pose,
@@ -255,9 +254,7 @@ def write_dataset(path, samples: list[PairSample], cfg: SynthConfig) -> None:
             "shape_id": s.shape_id,
             "scale": s.scale,
         }
-        (root / f"{stem}_pose.json").write_text(
-            json.dumps(pose_doc, sort_keys=True, indent=1) + "\n"
-        )
+        write_json(root / f"{stem}_pose.json", pose_doc)
         records.append(
             {"source": f"{stem}_source.ply", "target": f"{stem}_target.ply", "pose": f"{stem}_pose.json"}
         )
@@ -268,7 +265,7 @@ def write_dataset(path, samples: list[PairSample], cfg: SynthConfig) -> None:
         "config": {**asdict(cfg), "scale_range": list(cfg.scale_range), "shapes": list(cfg.shapes)},
         "samples": records,
     }
-    (root / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    write_json(root / MANIFEST_NAME, manifest)
 
 
 def read_dataset(path) -> tuple[list[PairSample], dict]:

@@ -20,7 +20,6 @@ from numpy.typing import NDArray
 from .errors import EmptyInput, NaNLoss
 from .features import (
     NetParams,
-    check_normalization,
     encode_source,
     save_checkpoint,
 )
@@ -37,6 +36,7 @@ from .metrics import (
     MetricsReport,
     add_score,
     build_report,
+    check_thresholds,
     count_true_inliers,
     model_diameter,
     rotation_error_deg,
@@ -76,19 +76,13 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
         if self.sinkhorn_iters < 1:
             raise ValueError("sinkhorn_iters must be >= 1")
         if self.eval_sinkhorn_iters < 1:
             raise ValueError("eval_sinkhorn_iters must be >= 1")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
         if not self.gt_thresh > 0:
             raise ValueError(f"gt_thresh must be positive, got {self.gt_thresh}")
-        if not np.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
-        check_normalization(self.normalization)
+        eval_options(self)  # lam, tau, alpha and normalization, checked by RegisterOptions
 
 
 @dataclass
@@ -190,6 +184,7 @@ def evaluate_dataset(
     """
     if not samples:
         raise EmptyInput("no samples to evaluate")
+    check_thresholds(rot_thresholds, trans_thresholds)
     records = []
     previous_source, diameter, encoding = None, 0.0, None
     for s in samples:

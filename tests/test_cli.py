@@ -94,11 +94,19 @@ def test_gen_zero_count(tmp_path, capsys):
         ("--translation-bound", "-1", "translation_bound"),
         ("--scale-max", "inf", "scale_range"),
         ("--rotation-max-deg", "nan", "rotation_max_deg"),
-        ("count", "x", "count"),  # a config file value, not a flag
+        # config file values, not flags: each means what its text as the flag means
+        ("count", "x", "count"),
+        ("count", [2], "count"),
+        ("count", 2.5, "count"),
+        ("m", [1], "m"),
+        ("shapes", 5, "shapes"),
+        ("scale_min", None, "scale_min"),
     ],
 )
 def test_gen_bad_config_exits_2_before_writing(tmp_path, capsys, flag, value, key):
-    file_values = {"count": 2}
+    # GEN_FAST as file values (a flag's text is a valid file value), so the value tested wins
+    fast = {f[2:].replace("-", "_"): v for f, v in zip(GEN_FAST[::2], GEN_FAST[1::2])}
+    file_values = {"count": 2, **fast}
     if flag.startswith("--"):
         extra = [flag, value]
     else:
@@ -106,21 +114,23 @@ def test_gen_bad_config_exits_2_before_writing(tmp_path, capsys, flag, value, ke
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(file_values))
     out = tmp_path / "d"
-    code = run(["gen", "--out", str(out), "--config", str(cfg), *GEN_FAST, *extra])
+    code = run(["gen", "--out", str(out), "--config", str(cfg), *extra])
     assert code == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
     assert not out.exists()
 
 
 def test_gen_flag_overrides_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"count": 2, "m": 48, "n": 24, "hpr_gamma": 10000.0,
-                               "scale_min": 1.0, "scale_max": 1.0}))
+                               "scale_min": 1.0, "scale_max": 1.0, "rotation_max_deg": None}))
     out = tmp_path / "d"
     assert run(["gen", "--out", str(out), "--config", str(cfg), "--count", "3"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["count"] == 3
     assert manifest["config"]["m"] == 48
+    assert manifest["config"]["rotation_max_deg"] is None  # null keeps full SO(3)
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +167,32 @@ def test_train_smoke_and_log_header(tmp_path, tiny_dataset):
         ("--gt-thresh", "0", "gt_thresh"),
         ("--learning-rate", "-1", "learning_rate"),
         ("--learning-rate", "nan", "learning_rate"),
+        # config file values, not flags: each means what its text as the flag means
+        ("iterations", [1], "iterations"),
+        ("iterations", None, "iterations"),
+        ("seed", "abc", "seed"),
+        ("knn_k", 2.7, "knn_k"),
+        ("batch_size", 2.9, "batch_size"),
+        ("batch_size", True, "batch_size"),
     ],
 )
 def test_train_bad_config_exits_2_before_loading_data(tmp_path, capsys, flag, value, key):
-    # the dataset does not exist: only an up-front check can report the config
-    code = run([
-        "train", "--data", str(tmp_path / "nope"), "--out-model", str(tmp_path / "m.json"),
-        flag, value,
-    ])
-    assert code == 2
-    assert key in capsys.readouterr().err
+    # the dataset does not exist: only an up-front check can report the config;
+    # ablate reads the same training flags and config files as train
+    missing = str(tmp_path / "nope")
+    if flag.startswith("--"):
+        extra = [flag, value]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: value}))
+        extra = ["--config", str(cfg)]
+    for inputs in (
+        ["train", "--data", missing, "--out-model", str(tmp_path / "m.json")],
+        ["ablate", "--data", missing, "--holdout", missing],
+    ):
+        assert run([*inputs, *extra]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
 
 def test_train_missing_dataset(tmp_path, capsys):
@@ -418,7 +444,9 @@ def test_probe_svd_tsv_monotone(capsys):
 
 
 def test_probe_svd_rejects_nonpositive(capsys):
-    assert run(["probe-svd", "--gaps", "1,-0.5"]) == 2
+    for gaps in ("1,-0.5", "1,x", "nan,1", "1,inf"):
+        assert run(["probe-svd", "--gaps", gaps]) == 2
+        assert "gaps" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -275,5 +275,6 @@ def test_probe_monotone_sweep():
 
 
 def test_probe_rejects_nonpositive_gap():
-    with pytest.raises(ValueError):
-        svd_gradient_probe(0.0)
+    for gap in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            svd_gradient_probe(gap)

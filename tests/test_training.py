@@ -222,10 +222,13 @@ def test_ablate_identical_configs_identical_reports():
     assert rep.report_a.mean_true_inliers == rep.report_b.mean_true_inliers
 
 
-def test_evaluate_dataset_rejects_a_repeated_threshold():
+def test_evaluate_dataset_rejects_a_repeated_threshold(monkeypatch):
     data = generate_dataset(EASY_SYNTH, 2)
+    calls = []
+    monkeypatch.setattr(training, "register", lambda *a, **kw: calls.append(a))
     with pytest.raises(ValueError, match="rotation threshold 5.0"):
         evaluate_dataset(small_params(), data, eval_options(quick_cfg()), rot_thresholds=(5, 5.0))
+    assert calls == []  # rejected before any sample is registered
 
 
 def test_evaluate_dataset_reuses_diameter_of_a_repeated_source(monkeypatch):
