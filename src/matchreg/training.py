@@ -2,15 +2,24 @@
 
 The batch gradient is the mean of per-sample end-to-end gradients; gradients
 and batch-norm running statistics are reduced once per step, in draw order,
-so a fixed seed reproduces parameters bitwise. The ``normalization`` switch
-is the ablation axis: shared source scale (``match_norm``), one scale per
-cloud (``per_instance_norm``), or no instance normalization at all.
+so a fixed seed reproduces parameters bitwise. ``train`` computes each
+step's samples on ``min(CPUs, batch_size)`` worker processes, each with its
+BLAS at one thread, and its results are byte-identical for any worker count.
+The ``normalization`` switch is the ablation axis: shared source scale
+(``match_norm``), one scale per cloud (``per_instance_norm``), or no instance
+normalization at all.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import json
+import multiprocessing
+import os
+import signal
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -43,7 +52,12 @@ from .metrics import (
     translation_error,
 )
 from .solver import RegisterOptions, register
-from .supervision import DEFAULT_GT_THRESHOLD, build_gt_matrix, end_to_end_gradient
+from .supervision import (
+    DEFAULT_GT_THRESHOLD,
+    EndToEndResult,
+    build_gt_matrix,
+    end_to_end_gradient,
+)
 from .synth import PairSample
 
 LEARNABLE_FIELDS = ("weight", "bias", "bn_gamma", "bn_beta")
@@ -215,6 +229,116 @@ def evaluate_dataset(
 
 
 # ---------------------------------------------------------------------------
+# Per-sample work, here or on worker processes
+# ---------------------------------------------------------------------------
+
+# numpy's OpenBLAS thread-count entry point, under the names its builds export
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+class _SampleGradients:
+    """End-to-end results of a step's draws, in draw order.
+
+    A drawn sample's ground truth and kNN graphs are built on its first draw
+    and kept: a sample's clouds never change, nor their graphs.
+    """
+
+    def __init__(self, cfg: TrainConfig, data: list[PairSample]):
+        self.cfg = cfg
+        self.data = data
+        self.gt_cache: dict[int, object] = {}
+        self.knn_cache: dict[int, list] = {}
+
+    def __call__(self, params: NetParams, draws: list[int]) -> list[EndToEndResult]:
+        cfg, results = self.cfg, []
+        for i in draws:
+            s = self.data[i]
+            if i not in self.gt_cache:
+                self.gt_cache[i] = build_gt_matrix(s.source, s.target, s.gt_pose, cfg.gt_thresh)
+            res = end_to_end_gradient(
+                params, s.source, s.target, self.gt_cache[i],
+                lam=cfg.lam, iters=cfg.sinkhorn_iters, alpha=cfg.alpha,
+                normalization=cfg.normalization, mode="train", knn=self.knn_cache.get(i),
+            )
+            self.knn_cache[i] = res.knn
+            results.append(res)
+        return results
+
+
+def _blas_thread_setter():
+    """The function that sets the thread count of numpy's BLAS, or None."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):  # numpy 1.x, or no shared library to open
+        return None
+    for name in _BLAS_THREAD_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return setter
+    return None
+
+
+# A worker process's own _SampleGradients, set by _start_worker; the parent
+# never sets it.
+_worker_samples: _SampleGradients | None = None
+
+
+def _start_worker(set_blas_threads, cfg: TrainConfig, data: list[PairSample]) -> None:
+    global _worker_samples
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is reported once, by the parent
+    set_blas_threads(1)  # the workers share the CPUs; a second BLAS thread only spins
+    _worker_samples = _SampleGradients(cfg, data)
+
+
+def _worker_results(params: NetParams, draws: list[int]) -> list[EndToEndResult]:
+    # the graphs stay in this worker's cache; only what the step reduces goes back
+    return [replace(r, knn=None) for r in _worker_samples(params, draws)]
+
+
+@contextlib.contextmanager
+def _per_sample_results(cfg: TrainConfig, data: list[PairSample]):
+    """Yield the function ``(params, draws) -> results`` a training run calls each step.
+
+    With one worker it runs in this process. Otherwise a pool of forked
+    workers lives as long as the ``with`` block: each step gives each worker
+    one contiguous chunk of its draws and joins the chunks in order, so the
+    step reduces the same results in the same order as with one worker.
+    """
+    set_blas_threads = _blas_thread_setter()
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # the platform has no sched_getaffinity
+        cpus = 1
+    # one worker per CPU this process may use, at most one per draw
+    workers = min(cpus, cfg.batch_size) if set_blas_threads is not None else 1
+    if workers == 1:
+        yield _SampleGradients(cfg, data)
+        return
+    # fork: workers start with the data and the modules as they are, with no
+    # pickling or re-import; the executor forks them all before its own thread
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(set_blas_threads, cfg, data),
+    ) as pool:
+        def results(params: NetParams, draws: list[int]) -> list[EndToEndResult]:
+            bounds = [len(draws) * k // workers for k in range(workers + 1)]
+            chunks = [
+                pool.submit(_worker_results, params, draws[a:b])
+                for a, b in zip(bounds, bounds[1:])
+            ]
+            return [r for chunk in chunks for r in chunk.result()]
+
+        yield results
+
+
+# ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
 
@@ -227,74 +351,67 @@ def train(
 ) -> tuple[NetParams, TrainLog]:
     """Adam on the mean batch NLL of the end-to-end matching pipeline.
 
-    Deterministic for a fixed config and data; raises ``NaNLoss`` (with the
-    iteration recorded) the moment a non-finite batch loss or batch gradient
-    appears, before it reaches the parameters.
+    Deterministic for a fixed config and data, whatever the worker count;
+    raises ``NaNLoss`` (with the iteration recorded) the moment a non-finite
+    batch loss or batch gradient appears, before it reaches the parameters.
+    No worker process outlives the call.
     """
     if not data:
         raise EmptyInput("no training samples")
     rng = np.random.default_rng(cfg.seed)
     state = init_adam(params)
     log = TrainLog(config={**asdict(cfg), "samples": len(data)})
-    gt_cache: dict[int, object] = {}
-    knn_cache: dict[int, list] = {}  # a sample's clouds never change, nor their graphs
 
     if checkpoint_dir is not None:
         Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
-    for it in range(1, cfg.iterations + 1):
-        results = []
-        for i in map(int, rng.integers(0, len(data), size=cfg.batch_size)):
-            s = data[i]
-            if i not in gt_cache:
-                gt_cache[i] = build_gt_matrix(s.source, s.target, s.gt_pose, cfg.gt_thresh)
-            res = end_to_end_gradient(
-                params, s.source, s.target, gt_cache[i],
-                lam=cfg.lam, iters=cfg.sinkhorn_iters, alpha=cfg.alpha,
-                normalization=cfg.normalization, mode="train", knn=knn_cache.get(i),
-            )
-            knn_cache[i] = res.knn
-            results.append(res)
-        # One reduction per step, in draw order: the sums a parallel step must
-        # reproduce to keep parameters and logs byte-identical.
-        n = len(results)
-        batch_loss = sum(r.loss for r in results) / n
-        mean_grads = [
-            {k: functools.reduce(np.add, (r.param_grads[li][k] for r in results)) / n for k in g}
-            for li, g in enumerate(results[0].param_grads)
-        ]
-        values = [batch_loss, *(v for g in mean_grads for v in g.values())]
-        if not all(np.all(np.isfinite(v)) for v in values):
-            raise NaNLoss(it)
-        params, state = adam_step(params, mean_grads, state, cfg)
-        params = fold_running_stats(params, [r.bn_batch_stats for r in results])
-        # "skipped" stays for the log format; every source row has a GT entry
-        log.records.append({"iteration": it, "loss": batch_loss, "skipped": 0})
+    with _per_sample_results(cfg, data) as step_results:
+        for it in range(1, cfg.iterations + 1):
+            draws = [int(i) for i in rng.integers(0, len(data), size=cfg.batch_size)]
+            results = step_results(params, draws)
+            # One reduction per step, in draw order, whatever the worker count:
+            # parameters and logs stay byte-identical.
+            n = len(results)
+            batch_loss = sum(r.loss for r in results) / n
+            mean_grads = [
+                {
+                    k: functools.reduce(np.add, (r.param_grads[li][k] for r in results)) / n
+                    for k in g
+                }
+                for li, g in enumerate(results[0].param_grads)
+            ]
+            values = [batch_loss, *(v for g in mean_grads for v in g.values())]
+            if not all(np.all(np.isfinite(v)) for v in values):
+                raise NaNLoss(it)
+            params, state = adam_step(params, mean_grads, state, cfg)
+            params = fold_running_stats(params, [r.bn_batch_stats for r in results])
+            # "skipped" stays for the log format; every source row has a GT entry
+            log.records.append({"iteration": it, "loss": batch_loss, "skipped": 0})
 
-        if cfg.checkpoint_every > 0 and it % cfg.checkpoint_every == 0:
-            if checkpoint_dir is not None:
-                save_checkpoint(
-                    Path(checkpoint_dir) / f"checkpoint_{it:06d}.json",
-                    params,
-                    normalization=cfg.normalization,
-                )
-            if val_data:
-                report = evaluate_dataset(
-                    params, val_data, eval_options(cfg), inlier_thresh=DEFAULT_INLIER_THRESHOLD
-                )
-                log.val_records.append(
-                    {
-                        "iteration": it,
-                        "mean_rotation_deg": float(
-                            np.mean([r["rotation_deg"] for r in report.per_sample])
-                        ),
-                        "mean_translation": float(
-                            np.mean([r["translation"] for r in report.per_sample])
-                        ),
-                        "mean_pred_matches": report.mean_pred_matches,
-                        "mean_true_inliers": report.mean_true_inliers,
-                    }
-                )
+            if cfg.checkpoint_every > 0 and it % cfg.checkpoint_every == 0:
+                if checkpoint_dir is not None:
+                    save_checkpoint(
+                        Path(checkpoint_dir) / f"checkpoint_{it:06d}.json",
+                        params,
+                        normalization=cfg.normalization,
+                    )
+                if val_data:
+                    report = evaluate_dataset(
+                        params, val_data, eval_options(cfg), inlier_thresh=DEFAULT_INLIER_THRESHOLD
+                    )
+                    log.val_records.append(
+                        {
+                            "iteration": it,
+                            "mean_rotation_deg": float(
+                                np.mean([r["rotation_deg"] for r in report.per_sample])
+                            ),
+                            "mean_translation": float(
+                                np.mean([r["translation"] for r in report.per_sample])
+                            ),
+                            "mean_pred_matches": report.mean_pred_matches,
+                            "mean_true_inliers": report.mean_true_inliers,
+                        }
+                    )
     return params, log
 
 

@@ -1,5 +1,8 @@
 """Training loop behavior: determinism, Adam, learning progress, ablation."""
 
+import hashlib
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +35,16 @@ EASY_SYNTH = SynthConfig(
     rotation_max_deg=45.0, scale_range=(1.0, 1.0), shapes=("box",),
     hpr_gamma=1e4, translation_bound=0.2, seed=100,
 )
+
+
+# CPU sets a test's process may use, as os.sched_getaffinity reports them: one
+# CPU trains in this process, more train on that many worker processes
+CPU_SETS = [pytest.param({0}, id="1cpu"), pytest.param({0, 1}, id="2cpus"),
+            pytest.param({0, 1, 2}, id="3cpus")]
+
+
+def on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
 
 
 def small_params(seed=0):
@@ -72,14 +85,50 @@ def test_adam_zero_gradient_is_identity():
         np.testing.assert_array_equal(a.bn_gamma, b.bn_gamma)
 
 
-def test_training_is_bitwise_reproducible():
+def layer_bytes(params):
+    fields = ("weight", "bias", "bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var")
+    return [[getattr(lp, f).tobytes() for f in fields] for lp in params.layers]
+
+
+def checkpoint_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "cpus, blas",
+    [pytest.param({0}, "found", id="1cpu"), pytest.param({0, 1}, "found", id="2cpus"),
+     pytest.param({0, 1, 2}, "found", id="3cpus"),
+     pytest.param({0, 1}, "missing", id="2cpus-no-blas-setter")],
+)
+def test_training_is_bitwise_reproducible(monkeypatch, tmp_path, cpus, blas):
+    # the same bytes as a run in this process, for any worker count; batch 3
+    # gives two workers uneven chunks
     data = generate_dataset(EASY_SYNTH, 8)
-    p1, log1 = train(quick_cfg(), data, small_params(2))
-    p2, log2 = train(quick_cfg(), data, small_params(2))
-    for a, b in zip(p1.layers, p2.layers):
-        np.testing.assert_array_equal(a.weight, b.weight)
-        np.testing.assert_array_equal(a.bn_running_mean, b.bn_running_mean)
-    assert [r["loss"] for r in log1.records] == [r["loss"] for r in log2.records]
+    val = generate_dataset(SynthConfig(**{**EASY_SYNTH.__dict__, "seed": 101}), 2)
+    cfg = quick_cfg(batch_size=3, checkpoint_every=2)
+    on_cpus(monkeypatch, {0})
+    p1, log1 = train(cfg, data, small_params(2), val_data=val, checkpoint_dir=tmp_path / "a")
+
+    pools = []
+    real_pool = training.ProcessPoolExecutor
+
+    def recording_pool(workers, **kwargs):
+        pools.append(workers)
+        return real_pool(workers, **kwargs)
+
+    on_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(training, "ProcessPoolExecutor", recording_pool)
+    if blas == "missing":  # no way to hold a worker's BLAS at one thread: no workers
+        monkeypatch.setattr(training, "_blas_thread_setter", lambda: None)
+    p2, log2 = train(cfg, data, small_params(2), val_data=val, checkpoint_dir=tmp_path / "b")
+    workers = min(len(cpus), cfg.batch_size) if blas == "found" else 1
+    assert pools == ([workers] if workers > 1 else [])
+    assert multiprocessing.active_children() == []
+
+    assert layer_bytes(p1) == layer_bytes(p2)
+    assert log1.records == log2.records
+    assert log1.val_records == log2.val_records and len(log1.val_records) == 2
+    assert checkpoint_bytes(tmp_path / "a") == checkpoint_bytes(tmp_path / "b")
 
 
 def test_training_loss_is_finite_and_logged():
@@ -90,8 +139,10 @@ def test_training_loss_is_finite_and_logged():
         assert r["loss"] is not None and np.isfinite(r["loss"])
 
 
-def test_one_step_is_adam_over_the_draw_order_mean_then_the_fold():
+@pytest.mark.parametrize("cpus", CPU_SETS)
+def test_one_step_is_adam_over_the_draw_order_mean_then_the_fold(monkeypatch, cpus):
     # the reduction a step must keep however its samples are computed
+    on_cpus(monkeypatch, cpus)
     data = generate_dataset(EASY_SYNTH, 3)
     cfg = quick_cfg(iterations=1, batch_size=4)  # four draws of three: one repeats
     picks = np.random.default_rng(cfg.seed).integers(0, len(data), size=cfg.batch_size)
@@ -129,7 +180,10 @@ def test_one_step_is_adam_over_the_draw_order_mean_then_the_fold():
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
-def test_non_finite_gradient_raises_before_the_update(monkeypatch):
+@pytest.mark.parametrize("cpus", CPU_SETS[:2])
+def test_non_finite_gradient_raises_before_the_update(monkeypatch, cpus):
+    # with workers the patched gradient runs in the forked children
+    on_cpus(monkeypatch, cpus)
     data = generate_dataset(EASY_SYNTH, 4)
     real_gradient = training.end_to_end_gradient
 
@@ -146,6 +200,7 @@ def test_non_finite_gradient_raises_before_the_update(monkeypatch):
     with pytest.raises(NaNLoss) as exc:
         train(quick_cfg(), data, small_params())
     assert exc.value.iteration == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_normalization_switch_changes_outputs_not_shapes():
@@ -275,18 +330,30 @@ def test_evaluate_dataset_encodes_a_repeated_source_once(monkeypatch):
         )
 
 
-def test_train_builds_the_graphs_of_each_drawn_sample_once(monkeypatch):
+@pytest.mark.parametrize("cpus", CPU_SETS[:2])
+def test_train_builds_the_graphs_of_each_drawn_sample_once(monkeypatch, tmp_path, cpus):
+    # workers build graphs in their own processes, so each build is written
+    # to a file as (process, cloud): no process may build a cloud twice
+    on_cpus(monkeypatch, cpus)
     data = generate_dataset(EASY_SYNTH, 3)
-    clouds = []
+    builds = tmp_path / "builds.txt"
     knn = features.knn_indices
 
     def counting(points, k):
-        clouds.append(points.tobytes())
+        with builds.open("a") as f:
+            f.write(f"{os.getpid()} {hashlib.sha256(points.tobytes()).hexdigest()}\n")
         return knn(points, k)
 
     monkeypatch.setattr(features, "knn_indices", counting)
     train(quick_cfg(iterations=4, batch_size=3), data, small_params())  # 12 draws
-    assert clouds and len(set(clouds)) == len(clouds) <= 2 * len(data)
+    lines = builds.read_text().splitlines()
+    assert lines and len(set(lines)) == len(lines)
+    assert len({line.split()[1] for line in lines}) <= 2 * len(data)
+    pids = {int(line.split()[0]) for line in lines}
+    if len(cpus) == 1:
+        assert pids == {os.getpid()}
+    else:  # the workers do all sample work
+        assert os.getpid() not in pids
 
 
 @pytest.mark.parametrize(
