@@ -21,6 +21,7 @@ from .errors import ConfigError, MatchregError
 from .features import (
     DEFAULT_KNN_K,
     DEFAULT_WIDTHS,
+    NetParams,
     init_net_params,
     load_checkpoint,
     save_checkpoint,
@@ -30,10 +31,11 @@ from .metrics import (
     DEFAULT_INLIER_THRESHOLD,
     DEFAULT_ROTATION_THRESHOLDS_DEG,
     DEFAULT_TRANSLATION_THRESHOLDS_M,
+    check_thresholds,
 )
 from .solver import RegisterOptions, register
 from .supervision import svd_gradient_probe
-from .synth import SHAPE_KINDS, SynthConfig, generate_dataset, read_dataset, write_dataset
+from .synth import SynthConfig, generate_dataset, read_dataset, write_dataset
 from .training import TrainConfig, ablate, evaluate_dataset, train
 
 NORMALIZATION_CHOICES = {
@@ -98,10 +100,10 @@ def _comma_list(key: str, raw: str, kind) -> tuple[list[str], list]:
     return tokens, values
 
 
-def _config(cls, **kw):
-    """``cls(**kw)``, whose check of a config dataclass's values exits 2 as a ``ConfigError``."""
+def _config(check, *args, **kw):
+    """``check(*args, **kw)``, whose ``ValueError`` on a bad value exits 2 as a ``ConfigError``."""
     try:
-        return cls(**kw)
+        return check(*args, **kw)
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
@@ -166,15 +168,10 @@ GEN_DEFAULTS = {
 def cmd_gen(args) -> int:
     values = _values(args, GEN_KEYS, GEN_DEFAULTS)
     count = values.pop("count")
-    if count < 1:
-        raise ConfigError("count must be >= 1")
     _, shapes = _comma_list("shapes", values.pop("shapes"), str)
-    for s in shapes:
-        if s not in SHAPE_KINDS:
-            raise ConfigError(f"unknown value for key 'shapes': {s!r}")
     scale_range = (values.pop("scale_min"), values.pop("scale_max"))
     cfg = _config(SynthConfig, **values, scale_range=scale_range, shapes=tuple(shapes))
-    samples = generate_dataset(cfg, count)
+    samples = _config(generate_dataset, cfg, count)  # checks count
     write_dataset(args.out, samples, cfg)
     print(f"wrote {count} samples to {args.out}")
     return 0
@@ -216,26 +213,23 @@ TRAIN_DEFAULTS = {
 ABLATE_HIDDEN = ("normalization", "checkpoint_every")
 
 
-def _train_config_from(args) -> tuple[TrainConfig, int, tuple[int, ...]]:
+def _train_config_from(args) -> tuple[TrainConfig, NetParams]:
+    """The training config and the initial network, both checked before any data is read."""
     values = _values(args, TRAIN_KEYS, TRAIN_DEFAULTS)
-    raw_widths = values.pop("widths")
-    _, widths = _comma_list("widths", raw_widths, int)
-    if min(widths) < 1:
-        raise ConfigError(f"widths must all be >= 1, got {raw_widths!r}")
+    _, widths = _comma_list("widths", values.pop("widths"), int)
     knn_k = values.pop("knn_k")
-    if knn_k < 1:
-        raise ConfigError(f"knn_k must be >= 1, got {knn_k}")
     normalization = _mode(values.pop("normalization"))
-    return _config(TrainConfig, **values, normalization=normalization), knn_k, tuple(widths)
+    cfg = _config(TrainConfig, **values, normalization=normalization)
+    params = _config(init_net_params, np.random.default_rng(cfg.seed), widths=widths, knn_k=knn_k)
+    return cfg, params
 
 
 def cmd_train(args) -> int:
-    cfg, knn_k, widths = _train_config_from(args)
+    cfg, params = _train_config_from(args)
     samples, _ = read_dataset(args.data)
     val = None
     if args.val_data:
         val, _ = read_dataset(args.val_data)
-    params = init_net_params(np.random.default_rng(cfg.seed), widths=widths, knn_k=knn_k)
     params, log = train(cfg, samples, params, val_data=val, checkpoint_dir=args.checkpoint_dir)
     save_checkpoint(args.out_model, params, normalization=cfg.normalization)
     if args.log:
@@ -262,11 +256,6 @@ def _register_options(args) -> RegisterOptions:
         alpha=args.alpha,
         use_icp=args.icp,
     )
-
-
-def _check_inlier_thresh(value: float) -> None:
-    if not value > 0:  # rejects NaN too
-        raise ConfigError(f"inlier_thresh must be positive, got {value}")
 
 
 def cmd_register(args) -> int:
@@ -302,23 +291,19 @@ def cmd_register(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _thresholds(key: str, raw: str) -> tuple[list[str], list[float]]:
-    """The comma list of flag ``key``; its values key the mAP tables, so none may repeat."""
-    tokens, values = _comma_list(key, raw, float)
-    if len(set(values)) < len(values):
-        raise ConfigError(f"{key} list {raw!r} repeats a value")
-    return tokens, values
+def _metric_thresholds(args) -> tuple[list[str], list[str]]:
+    """The threshold texts of eval and ablate (their mAP keys), checked with ``--inlier-thresh``."""
+    rot, _ = _comma_list("rot_thresholds", args.rot_thresholds, float)
+    trans, _ = _comma_list("trans_thresholds", args.trans_thresholds, float)
+    _config(check_thresholds, rot, trans, args.inlier_thresh)
+    return rot, trans
 
 
 def cmd_eval(args) -> int:
     opts = _register_options(args)
-    _check_inlier_thresh(args.inlier_thresh)
-    rot_keys, rot_thresholds = _thresholds("rot_thresholds", args.rot_thresholds)
-    trans_keys, trans_thresholds = _thresholds("trans_thresholds", args.trans_thresholds)
+    rot_thresholds, trans_thresholds = _metric_thresholds(args)
     params, normalization = load_checkpoint(args.model)
     samples, _ = read_dataset(args.data)
-    if not samples:
-        raise ConfigError("dataset is empty")
     report = evaluate_dataset(
         params,
         samples,
@@ -326,15 +311,13 @@ def cmd_eval(args) -> int:
         rot_thresholds=rot_thresholds,
         trans_thresholds=trans_thresholds,
         inlier_thresh=args.inlier_thresh,
-        rotation_keys=rot_keys,
-        translation_keys=trans_keys,
     )
     print(f"samples: {report.sample_count}")
     print("rotation mAP:")
-    for key, frac in zip(rot_keys, report.rotation_map.values()):
+    for key, frac in report.rotation_map.items():
         print(f"  <= {key} deg: {frac:.4f}")
     print("translation mAP:")
-    for key, frac in zip(trans_keys, report.translation_map.values()):
+    for key, frac in report.translation_map.items():
         print(f"  <= {key} m: {frac:.4f}")
     print(f"ADD pass rate: {report.add_rate:.4f}")
     print(f"mean predicted matches: {report.mean_pred_matches:.2f}")
@@ -349,15 +332,12 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ablate(args) -> int:
-    cfg, knn_k, widths = _train_config_from(args)
-    _check_inlier_thresh(args.inlier_thresh)
+    cfg, params = _train_config_from(args)
+    rot_thresholds, trans_thresholds = _metric_thresholds(args)
     cfg_a = replace(cfg, normalization=_mode(args.mode_a))
     cfg_b = replace(cfg, normalization=_mode(args.mode_b))
-    rot_keys, rot_thresholds = _thresholds("rot_thresholds", args.rot_thresholds)
-    _, trans_thresholds = _thresholds("trans_thresholds", args.trans_thresholds)
     train_samples, _ = read_dataset(args.data)
     holdout, _ = read_dataset(args.holdout)
-    params = init_net_params(np.random.default_rng(cfg.seed), widths=widths, knn_k=knn_k)
     result = ablate(
         cfg_a, cfg_b, train_samples, holdout, params,
         rot_thresholds=rot_thresholds, trans_thresholds=trans_thresholds,
@@ -366,9 +346,8 @@ def cmd_ablate(args) -> int:
     print(f"{'':24}{result.mode_a:>20}{result.mode_b:>20}")
     print(f"{'mean pred matches':24}{result.report_a.mean_pred_matches:>20.2f}{result.report_b.mean_pred_matches:>20.2f}")
     print(f"{'mean true inliers':24}{result.report_a.mean_true_inliers:>20.2f}{result.report_b.mean_true_inliers:>20.2f}")
-    for key, thr in zip(rot_keys, rot_thresholds):
-        fa = result.report_a.rotation_map[float(thr)]
-        fb = result.report_b.rotation_map[float(thr)]
+    for key, fa in result.report_a.rotation_map.items():
+        fb = result.report_b.rotation_map[key]
         print(f"{'rot mAP @ ' + key + ' deg':24}{fa:>20.4f}{fb:>20.4f}")
     if args.json_out:
         write_json(args.json_out, result.to_json_dict())

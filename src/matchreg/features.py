@@ -130,6 +130,8 @@ def init_net_params(
     features would saturate the assignment layer at its default temperature
     before training can move the scores. The gain is learned freely afterwards.
     """
+    if not all(w >= 1 for w in widths):
+        raise ValueError(f"widths must all be >= 1, got {tuple(widths)}")
     layers = []
     c_in = 3
     for li, w in enumerate(widths):

@@ -161,7 +161,7 @@ def sinkhorn_log(
     Finishing on the row scaling makes the row marginals exact; column
     marginals converge with iterations.
     """
-    if lam <= 0:
+    if not lam > 0:  # rejects NaN too
         raise NonPositiveLambda(f"lambda must be positive, got {lam}")
     if iters < 1:
         raise ValueError("iters must be >= 1")

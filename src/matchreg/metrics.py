@@ -86,27 +86,34 @@ def map_aggregate(
     errors: list[PoseErrors],
     rot_thresholds=DEFAULT_ROTATION_THRESHOLDS_DEG,
     trans_thresholds=DEFAULT_TRANSLATION_THRESHOLDS_M,
-) -> tuple[dict[float, float], dict[float, float]]:
-    """Per-threshold success fractions; thresholds are checked by ``check_thresholds``."""
+) -> tuple[dict, dict]:
+    """Success fractions keyed by each threshold as given (7.5 or "7.5"), compared as float(t)."""
     if not errors:
         raise EmptyInput("no samples to aggregate")
     check_thresholds(rot_thresholds, trans_thresholds)
     rot = np.array([e.rotation_deg for e in errors])
     trans = np.array([e.translation for e in errors])
     return (
-        {t: float(np.mean(rot <= t)) for t in map(float, rot_thresholds)},
-        {t: float(np.mean(trans <= t)) for t in map(float, trans_thresholds)},
+        {t: float(np.mean(rot <= float(t))) for t in rot_thresholds},
+        {t: float(np.mean(trans <= float(t))) for t in trans_thresholds},
     )
 
 
-def check_thresholds(rot_thresholds, trans_thresholds) -> None:
-    """Raise ValueError naming a threshold that repeats (1 and 1.0 too): each keys a table entry."""
-    for name, thresholds in (("rotation", rot_thresholds), ("translation", trans_thresholds)):
+def check_thresholds(
+    rot_thresholds, trans_thresholds, inlier_thresh: float = DEFAULT_INLIER_THRESHOLD
+) -> None:
+    """ValueError naming the list of a repeated threshold (1 and 1.0 too) or a bad inlier_thresh."""
+    for name, key, thresholds in (
+        ("rotation", "rot_thresholds", rot_thresholds),
+        ("translation", "trans_thresholds", trans_thresholds),
+    ):
         seen = set()
         for t in map(float, thresholds):
             if t in seen:
-                raise ValueError(f"{name} threshold {t!r} is repeated")
+                raise ValueError(f"{name} threshold {t!r} is repeated in {key}")
             seen.add(t)
+    if not inlier_thresh > 0:  # rejects NaN too
+        raise ValueError(f"inlier_thresh must be positive, got {inlier_thresh}")
 
 
 def count_true_inliers(
@@ -117,7 +124,7 @@ def count_true_inliers(
     inlier_thresh: float = DEFAULT_INLIER_THRESHOLD,
 ) -> int:
     """Matches whose endpoints agree under the ground-truth pose."""
-    if inlier_thresh <= 0:
+    if not inlier_thresh > 0:  # rejects NaN too
         raise ValueError("inlier_thresh must be positive")
     if not matches:
         return 0
@@ -133,22 +140,18 @@ def count_true_inliers(
 class MetricsReport:
     """Aggregated evaluation results plus the per-sample records behind them."""
 
-    rotation_map: dict[float, float]
-    translation_map: dict[float, float]
+    rotation_map: dict  # threshold as given -> success fraction
+    translation_map: dict
     add_rate: float
     mean_pred_matches: float
     mean_true_inliers: float
     sample_count: int
     per_sample: list[dict] = field(default_factory=list)
-    rotation_keys: list[str] = field(default_factory=list)
-    translation_keys: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        rot_keys = self.rotation_keys or [repr(k) for k in self.rotation_map]
-        trans_keys = self.translation_keys or [repr(k) for k in self.translation_map]
         return {
-            "rotation_map": dict(zip(rot_keys, self.rotation_map.values())),
-            "translation_map": dict(zip(trans_keys, self.translation_map.values())),
+            "rotation_map": {str(t): frac for t, frac in self.rotation_map.items()},
+            "translation_map": {str(t): frac for t, frac in self.translation_map.items()},
             "add_rate": self.add_rate,
             "mean_pred_matches": self.mean_pred_matches,
             "mean_true_inliers": self.mean_true_inliers,
@@ -164,16 +167,12 @@ def build_report(
     records: list[dict],
     rot_thresholds=DEFAULT_ROTATION_THRESHOLDS_DEG,
     trans_thresholds=DEFAULT_TRANSLATION_THRESHOLDS_M,
-    rotation_keys: list[str] | None = None,
-    translation_keys: list[str] | None = None,
 ) -> MetricsReport:
     """Aggregate per-sample records (as produced by the evaluation loop).
 
     Each record needs: rotation_deg, translation, add_pass, pred_matches,
     true_inliers.
     """
-    if not records:
-        raise EmptyInput("no evaluation records")
     errs = [PoseErrors(r["rotation_deg"], r["translation"]) for r in records]
     rot_map, trans_map = map_aggregate(errs, rot_thresholds, trans_thresholds)
     return MetricsReport(
@@ -184,6 +183,4 @@ def build_report(
         mean_true_inliers=float(np.mean([r["true_inliers"] for r in records])),
         sample_count=len(records),
         per_sample=records,
-        rotation_keys=rotation_keys or [],
-        translation_keys=translation_keys or [],
     )

@@ -68,7 +68,7 @@ def build_gt_matrix(
     within ``d_thresh`` (ties to the lower index); unmatched points get a 1
     in their outlier bin, the corner stays 0.
     """
-    if d_thresh <= 0:
+    if not d_thresh > 0:  # rejects NaN too
         raise ValueError("d_thresh must be positive")
     xp = as_points(x)
     yp = as_points(y)
@@ -116,7 +116,6 @@ class EndToEndResult:
     loss: float
     param_grads: list[dict[str, NDArray[np.float64]]]
     bn_batch_stats: list[tuple[NDArray[np.float64], NDArray[np.float64]]]
-    knn: list[NDArray[np.int64]]  # the (source, target) graphs, to pass back in
 
 
 def end_to_end_gradient(
@@ -135,8 +134,8 @@ def end_to_end_gradient(
 
     Chains the loss gradient through the unrolled Sinkhorn iterations, the
     score map, and the feature network down to the layer parameters.
-    ``knn`` is the graphs of an earlier result for the same clouds, which
-    ``extract_features`` then does not build again.
+    ``knn``, when given, is the (source, target) kNN graphs of the clouds,
+    which ``extract_features`` then does not build again.
     """
     fx, fy, cache = extract_features(
         params, x, y, mode=mode, normalization=normalization, knn=knn
@@ -153,7 +152,7 @@ def end_to_end_gradient(
     d_fy = fx @ d_scores
     grads, _, _ = extract_features_backward(params, cache, d_fx, d_fy)
     stats = [(lc.bn.mean, lc.bn.var) for lc in cache.layers]
-    return EndToEndResult(loss=loss.value, param_grads=grads, bn_batch_stats=stats, knn=cache.knn)
+    return EndToEndResult(loss=loss.value, param_grads=grads, bn_batch_stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ class SynthConfig:
             raise ValueError(f"bad scale_range {self.scale_range}: need finite 0 < min <= max")
         bad = [s for s in self.shapes if s not in SHAPE_KINDS]
         if bad:
-            raise ValueError(f"unknown shape kind {bad[0]!r}")
+            raise ValueError(f"unknown shape kind {bad[0]!r} in shapes")
         for key in ("noise_sigma", "outlier_bound", "translation_bound"):
             if not 0 <= getattr(self, key) < np.inf:
                 raise ValueError(f"{key} must be finite and >= 0, got {getattr(self, key)}")

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
+from . import features
 from .errors import EmptyInput, NaNLoss
 from .features import (
     NetParams,
@@ -186,8 +187,6 @@ def evaluate_dataset(
     rot_thresholds=DEFAULT_ROTATION_THRESHOLDS_DEG,
     trans_thresholds=DEFAULT_TRANSLATION_THRESHOLDS_M,
     inlier_thresh: float = DEFAULT_INLIER_THRESHOLD,
-    rotation_keys: list[str] | None = None,
-    translation_keys: list[str] | None = None,
 ) -> MetricsReport:
     """Register every sample and aggregate the standard metric tables.
 
@@ -198,7 +197,7 @@ def evaluate_dataset(
     """
     if not samples:
         raise EmptyInput("no samples to evaluate")
-    check_thresholds(rot_thresholds, trans_thresholds)
+    check_thresholds(rot_thresholds, trans_thresholds, inlier_thresh)
     records = []
     previous_source, diameter, encoding = None, 0.0, None
     for s in samples:
@@ -222,10 +221,7 @@ def evaluate_dataset(
                 "shape_id": s.shape_id,
             }
         )
-    return build_report(
-        records, rot_thresholds, trans_thresholds,
-        rotation_keys=rotation_keys, translation_keys=translation_keys,
-    )
+    return build_report(records, rot_thresholds, trans_thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -244,28 +240,30 @@ class _SampleGradients:
     """End-to-end results of a step's draws, in draw order.
 
     A drawn sample's ground truth and kNN graphs are built on its first draw
-    and kept: a sample's clouds never change, nor their graphs.
+    and kept: a sample's clouds never change, nor their graphs. The graphs
+    are those ``features.knn_indices`` gives when ``extract_features`` calls it.
     """
 
     def __init__(self, cfg: TrainConfig, data: list[PairSample]):
         self.cfg = cfg
         self.data = data
-        self.gt_cache: dict[int, object] = {}
-        self.knn_cache: dict[int, list] = {}
+        self.cache: dict[int, tuple] = {}  # sample index -> (ground truth, graphs)
 
     def __call__(self, params: NetParams, draws: list[int]) -> list[EndToEndResult]:
         cfg, results = self.cfg, []
         for i in draws:
             s = self.data[i]
-            if i not in self.gt_cache:
-                self.gt_cache[i] = build_gt_matrix(s.source, s.target, s.gt_pose, cfg.gt_thresh)
-            res = end_to_end_gradient(
-                params, s.source, s.target, self.gt_cache[i],
+            if i not in self.cache:
+                self.cache[i] = (
+                    build_gt_matrix(s.source, s.target, s.gt_pose, cfg.gt_thresh),
+                    [features.knn_indices(p, params.knn_k) for p in (s.source, s.target)],
+                )
+            gt, knn = self.cache[i]
+            results.append(end_to_end_gradient(
+                params, s.source, s.target, gt,
                 lam=cfg.lam, iters=cfg.sinkhorn_iters, alpha=cfg.alpha,
-                normalization=cfg.normalization, mode="train", knn=self.knn_cache.get(i),
-            )
-            self.knn_cache[i] = res.knn
-            results.append(res)
+                normalization=cfg.normalization, mode="train", knn=knn,
+            ))
         return results
 
 
@@ -298,8 +296,7 @@ def _start_worker(set_blas_threads, cfg: TrainConfig, data: list[PairSample]) ->
 
 
 def _worker_results(params: NetParams, draws: list[int]) -> list[EndToEndResult]:
-    # the graphs stay in this worker's cache; only what the step reduces goes back
-    return [replace(r, knn=None) for r in _worker_samples(params, draws)]
+    return _worker_samples(params, draws)
 
 
 @contextlib.contextmanager
@@ -459,6 +456,7 @@ def ablate(
     """Train twice, identical except the normalization stage, compare heads-up."""
     if replace(cfg_a, normalization=cfg_b.normalization) != cfg_b:
         raise ValueError("ablation configs must be identical except normalization")
+    check_thresholds(rot_thresholds, trans_thresholds, inlier_thresh)
     params_a, _ = train(cfg_a, train_data, params)
     params_b, _ = train(cfg_b, train_data, params)
     report_a = evaluate_dataset(

@@ -304,21 +304,44 @@ def test_matching_flags_exit_2_before_reading_files(tmp_path, capsys, command, f
     assert key in capsys.readouterr().err
 
 
-def test_eval_threshold_keys_echo_exactly(tmp_path, tiny_model, tiny_dataset):
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+@pytest.mark.parametrize(
+    "rot, trans", [("7.5,30", "0.015,0.2"), ("5,10", "0.01,0.05")], ids=["7.5,30", "5,10"]
+)
+def test_eval_threshold_keys_echo_exactly(tmp_path, tiny_model, tiny_dataset, command, rot, trans):
     out = tmp_path / "report.json"
+    inputs = {
+        "eval": ["--model", tiny_model, "--data", tiny_dataset],
+        "ablate": ["--data", tiny_dataset, "--holdout", tiny_dataset, "--iterations", "1",
+                   "--batch-size", "1", "--widths", "6", "--knn-k", "3"],
+    }[command]
     code = run([
-        "eval", "--model", tiny_model, "--data", tiny_dataset, "--json-out", str(out),
-        "--rot-thresholds", "7.5,30", "--trans-thresholds", "0.015,0.2",
+        command, *inputs, "--json-out", str(out), "--rot-thresholds", rot, "--trans-thresholds", trans,
     ])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert sorted(doc["rotation_map"]) == sorted(["7.5", "30"])
-    assert sorted(doc["translation_map"]) == sorted(["0.015", "0.2"])
+    reports = [doc] if command == "eval" else [doc["report_a"], doc["report_b"]]
+    for report in reports:
+        assert sorted(report["rotation_map"]) == sorted(rot.split(","))
+        assert sorted(report["translation_map"]) == sorted(trans.split(","))
 
 
 def test_eval_empty_dataset_dir(tmp_path, tiny_model, capsys):
     code = run(["eval", "--model", tiny_model, "--data", str(tmp_path / "missing")])
     assert code == 1  # missing dataset is an IO error
+    # a manifest of 0 samples is a runtime error too, the same for every command
+    empty = tmp_path / "empty"
+    write_dataset(empty, [], SynthConfig(m=48, n=24))
+    for argv in (
+        ["eval", "--model", tiny_model, "--data", str(empty)],
+        ["train", "--data", str(empty), "--out-model", str(tmp_path / "m.json")],
+        ["ablate", "--data", str(empty), "--holdout", str(empty)],
+    ):
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no ") and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_eval_reports_deterministic(tmp_path, tiny_model, tiny_dataset):

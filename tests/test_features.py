@@ -614,6 +614,15 @@ def test_checkpoint_deterministic_bytes(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "widths, knn_k, message",
+    [((6, 0), 4, "widths"), ((6, -1), 4, "widths"), ((), 4, "at least one layer"), ((6,), 0, "knn_k")],
+)
+def test_init_net_params_rejects_bad_widths_and_knn_k(widths, knn_k, message):
+    with pytest.raises(ValueError, match=message):
+        init_net_params(np.random.default_rng(0), widths=widths, knn_k=knn_k)
+
+
 def test_checkpoint_rejects_foreign_file(tmp_path):
     p = tmp_path / "x.json"
     p.write_text("{}")

@@ -174,8 +174,9 @@ def test_sinkhorn_shift_invariance():
 
 
 def test_sinkhorn_rejects_bad_lambda():
-    with pytest.raises(NonPositiveLambda):
-        sinkhorn_log(np.ones((2, 2)), lam=0.0, iters=10)
+    for lam in (0.0, float("nan")):
+        with pytest.raises(NonPositiveLambda):
+            sinkhorn_log(np.ones((2, 2)), lam=lam, iters=10)
 
 
 def test_sinkhorn_backward_matches_fd():

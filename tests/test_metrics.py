@@ -221,3 +221,10 @@ def test_true_inliers_mixed_instance():
     y[4] += [0.0, 0.2, 0.0]
     matches = [Match(i, i, 1.0) for i in range(5)]
     assert count_true_inliers(matches, x, y, pose, inlier_thresh=0.02) == 3
+
+
+@pytest.mark.parametrize("inlier_thresh", [0.0, -0.02, float("nan")])
+def test_true_inliers_rejects_a_threshold_that_is_not_positive(inlier_thresh):
+    x = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="inlier_thresh"):
+        count_true_inliers([Match(0, 0, 1.0)], x, x, Pose.identity(), inlier_thresh=inlier_thresh)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from matchreg import supervision
+from matchreg import features, supervision
 from matchreg.errors import EmptyGroundTruth, ShapeMismatch
 from matchreg.features import NORMALIZATION_MODES, init_net_params, knn_indices
 from matchreg.geometry import Pose, apply_pose, random_rotation_uniform
@@ -33,6 +33,13 @@ def test_gt_exact_alignment_is_identity():
     np.testing.assert_array_equal(gt.values[:12, :12], np.eye(12))
     assert gt.inlier_count == 12
     assert gt.values[:, 12].sum() == 0 and gt.values[12, :].sum() == 0
+
+
+@pytest.mark.parametrize("d_thresh", [0.0, -1.0, float("nan")])
+def test_gt_rejects_a_threshold_that_is_not_positive(d_thresh):
+    x = np.zeros((4, 3))
+    with pytest.raises(ValueError, match="d_thresh"):
+        build_gt_matrix(x, x, Pose.identity(), d_thresh=d_thresh)
 
 
 def test_gt_all_outliers_when_displaced():
@@ -240,14 +247,13 @@ def test_e2e_deterministic():
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
-def test_e2e_given_its_graphs_returns_the_same_bytes(normalization, mode):
+def test_e2e_given_its_graphs_returns_the_same_bytes(monkeypatch, normalization, mode):
     params, x, y, gt = e2e_setup(11)
     kw = dict(lam=0.5, iters=12, normalization=normalization, mode=mode)
     fresh = end_to_end_gradient(params, x, y, gt, **kw)
-    np.testing.assert_array_equal(fresh.knn[0], knn_indices(x, params.knn_k))
-    np.testing.assert_array_equal(fresh.knn[1], knn_indices(y, params.knn_k))
-    reused = end_to_end_gradient(params, x, y, gt, knn=fresh.knn, **kw)
-    assert reused.knn is fresh.knn
+    knn = [knn_indices(x, params.knn_k), knn_indices(y, params.knn_k)]
+    monkeypatch.setattr(features, "knn_indices", None)  # given the graphs, it builds none
+    reused = end_to_end_gradient(params, x, y, gt, knn=knn, **kw)
     assert reused.loss == fresh.loss
     for a, b in zip(reused.param_grads, fresh.param_grads):
         assert a.keys() == b.keys()

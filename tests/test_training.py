@@ -259,12 +259,19 @@ def test_train_log_jsonl_round_trip(tmp_path):
     assert sum(1 for l in lines if l["type"] == "loss") == 3
 
 
-def test_ablate_rejects_mismatched_configs():
+def test_ablate_rejects_mismatched_configs(monkeypatch):
     data = generate_dataset(EASY_SYNTH, 4)
     cfg_a = quick_cfg(normalization="match_norm")
     cfg_b = quick_cfg(normalization="per_instance_norm", iterations=7)
     with pytest.raises(ValueError):
         ablate(cfg_a, cfg_b, data, data, small_params(9))
+    # bad metric thresholds are rejected before either arm trains
+    runs = []
+    monkeypatch.setattr(training, "train", lambda *a, **kw: runs.append(a))
+    for kw in ({"inlier_thresh": float("nan")}, {"trans_thresholds": (0.01, 0.01)}):
+        with pytest.raises(ValueError):
+            ablate(cfg_a, replace(cfg_a, normalization="none"), data, data, small_params(9), **kw)
+    assert runs == []
 
 
 def test_ablate_identical_configs_identical_reports():
@@ -283,6 +290,8 @@ def test_evaluate_dataset_rejects_a_repeated_threshold(monkeypatch):
     monkeypatch.setattr(training, "register", lambda *a, **kw: calls.append(a))
     with pytest.raises(ValueError, match="rotation threshold 5.0"):
         evaluate_dataset(small_params(), data, eval_options(quick_cfg()), rot_thresholds=(5, 5.0))
+    with pytest.raises(ValueError, match="inlier_thresh"):
+        evaluate_dataset(small_params(), data, eval_options(quick_cfg()), inlier_thresh=float("nan"))
     assert calls == []  # rejected before any sample is registered
 
 
