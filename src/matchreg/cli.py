@@ -323,7 +323,7 @@ def cmd_eval(args) -> int:
     print(f"mean predicted matches: {report.mean_pred_matches:.2f}")
     print(f"mean true inliers: {report.mean_true_inliers:.2f}")
     if args.json_out:
-        report.write_json(args.json_out)
+        write_json(args.json_out, report.to_json_dict())
     return 0
 
 

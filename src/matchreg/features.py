@@ -26,10 +26,10 @@ replaces the max only when strictly greater, so of equal maxima the first
 slot wins, as ``argmax`` would choose. Its backward adds every gradient
 with one ``np.bincount`` in the order ``np.add.at`` would.
 
-Forward passes record everything needed for an exact analytic backward
-(``extract_features_backward``), including the max-pool argmax slots and
-the location of the scale's argmax element, so gradients match central
-finite differences to first order away from ties.
+Forward passes record everything the exact analytic backward of the
+layer parameters (``extract_features_backward``) needs, including the
+max-pool argmax slots and the location of the scale's argmax element, so
+gradients match central finite differences to first order away from ties.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def knn_indices(pc: Points, k: int) -> NDArray[np.int64]:
 
 @dataclass(frozen=True)
 class MatchNormStats:
-    """What ``match_normalize`` subtracted and divided by, one entry per cloud.
+    """What ``match_normalize`` divided by, one entry per cloud.
 
     Entries follow the clouds as given, source first. ``scale_at`` holds
     the flat index of the |activation| entry that set a cloud's own scale,
@@ -220,7 +220,6 @@ class MatchNormStats:
     its own or its scale was floored.
     """
 
-    mu: tuple[NDArray[np.float64], ...]
     scale: tuple[float, ...]
     scale_at: tuple[int | None, ...]
 
@@ -267,20 +266,17 @@ def match_normalize(
         )
     check_normalization(normalization)
     if normalization == "none":
-        zeros = tuple(np.zeros(len(a)) for a in clouds)
-        return (*clouds, MatchNormStats(zeros, (1.0,) * len(clouds), (None,) * len(clouds)))
+        return (*clouds, MatchNormStats((1.0,) * len(clouds), (None,) * len(clouds)))
     shared = beta if normalization == "match_norm" else None
-    outs, mus, scales, at = [], [], [], []
+    outs, scales, at = [], [], []
     for a in clouds:
         scale, i = _scale(a) if shared is None else (shared, None)
         if normalization == "match_norm":
             shared = scale  # the source scale divides the target too
-        mu = a.mean(axis=1)
-        outs.append((a - mu[:, None]) / scale)
-        mus.append(mu)
+        outs.append((a - a.mean(axis=1)[:, None]) / scale)
         scales.append(scale)
         at.append(i)
-    return (*outs, MatchNormStats(tuple(mus), tuple(scales), tuple(at)))
+    return (*outs, MatchNormStats(tuple(scales), tuple(at)))
 
 
 def _scale(a: FeatureArray) -> tuple[float, int | None]:
@@ -505,7 +501,6 @@ class SourceEncoding:
     """
 
     normalization: str
-    knn: NDArray[np.int64]                  # (M, k) neighbor indices
     descriptors: FeatureArray               # the last layer's (C, M) output
     betas: tuple[float, ...]                # each layer's source scale
 
@@ -521,9 +516,8 @@ def encode_source(
     and ``enc.descriptors`` its source descriptors. Eval mode only: in
     train mode batch norm pools both clouds at every layer.
     """
-    check_normalization(normalization)
-    knn, feats, betas = _forward(params, [as_points(x)], "eval", normalization)
-    return SourceEncoding(normalization, knn[0], feats[0], betas)
+    _, feats, betas = _forward(params, [as_points(x)], "eval", normalization)
+    return SourceEncoding(normalization, feats[0], betas)
 
 
 def encode_target(params: NetParams, source: SourceEncoding, y: Points) -> FeatureArray:
@@ -553,15 +547,7 @@ def extract_features(
     ``encode_target``'s byte for byte; to match many targets against one
     source, encode the source once instead.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
-    check_normalization(normalization)
     clouds = [as_points(x), as_points(y)]
-    if any(p.shape[0] <= params.knn_k for p in clouds):
-        raise TooFewPoints(
-            f"cloud sizes ({clouds[0].shape[0]}, {clouds[1].shape[0]}) "
-            f"must exceed knn_k={params.knn_k}"
-        )
     layers: list[_LayerCache] = []
     knn, (fx, fy), _ = _forward(params, clouds, mode, normalization, caches=layers, knn=knn)
     return fx, fy, ForwardCache(knn, layers, normalization)
@@ -572,13 +558,13 @@ def extract_features_backward(
     cache: ForwardCache,
     d_fx: FeatureArray,
     d_fy: FeatureArray,
-) -> tuple[list[dict[str, NDArray[np.float64]]], FeatureArray, FeatureArray]:
-    """Analytic gradients for all layer parameters and both input clouds.
+) -> list[dict[str, NDArray[np.float64]]]:
+    """Analytic gradients of every layer's parameters, first layer first.
 
     Handles every forward path: ReLU masks, batch-norm statistics (train
     mode), the Match Normalization mean and scale (subgradient at the max
     element, ties to the lowest flat index), the linear maps, and the
-    max-pool edge aggregation.
+    edge max-pool between layers; the input clouds get no gradient.
     """
     want = [m.shape for m in cache.layers[-1].relu_mask]
     g = [np.asarray(d, dtype=np.float64) for d in (d_fx, d_fy)]
@@ -593,15 +579,16 @@ def extract_features_backward(
         da = _match_normalize_backward(du, lc.act, lc.mn_out, lc.mn, cache.normalization)
         d_weight = reduce(np.add, [d @ e.T for d, e in zip(da, lc.edge)])
         d_bias = reduce(np.add, [d.sum(axis=1) for d in da])
-        grads.append({"weight": d_weight, "bias": d_bias, "bn_gamma": d_gamma, "bn_beta": d_beta})
+        grads.insert(0, dict(weight=d_weight, bias=d_bias, bn_gamma=d_gamma, bn_beta=d_beta))
+        if lc is cache.layers[0]:
+            break
         # linear map, then edge aggregation back to the previous layer's features
         g = [
             _edge_backward(lp.weight.T @ d, idx, amax, lp.in_channels)
             for d, idx, amax in zip(da, cache.knn, lc.amax)
         ]
 
-    grads.reverse()
-    return grads, g[0].T.copy(), g[1].T.copy()
+    return grads
 
 # ---------------------------------------------------------------------------
 # Checkpoints
@@ -634,7 +621,8 @@ def load_checkpoint(path) -> tuple[NetParams, str]:
         raise ValueError(f"{path}: not a checkpoint file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    knn_k, records = require_keys(doc, {"knn_k": int, "layers": list}, path).values()
+    keys = {"knn_k": int, "normalization": str, "layers": list}
+    knn_k, normalization, records = require_keys(doc, keys, path).values()
     layers = []
     for i, rec in enumerate(records):
         where = f"{path}: layer {i}"
@@ -643,7 +631,8 @@ def load_checkpoint(path) -> tuple[NetParams, str]:
             layers.append(LayerParams(**fields))
         except (TypeError, ValueError) as err:  # entries that are not numbers, or misshapen
             raise ValueError(f"{where}: {err}") from None
-    normalization = doc.get("normalization", "match_norm")
-    if normalization not in NORMALIZATION_MODES:
-        raise ValueError(f"{path}: unknown normalization {normalization!r}")
+    try:
+        check_normalization(normalization)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return NetParams(layers=tuple(layers), knn_k=knn_k), normalization

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput
-from .fileio import write_json
 from .geometry import Points, Pose, apply_pose, as_points
 
 DEFAULT_ROTATION_THRESHOLDS_DEG = (5.0, 10.0, 20.0)
@@ -158,9 +157,6 @@ class MetricsReport:
             "sample_count": self.sample_count,
             "per_sample": self.per_sample,
         }
-
-    def write_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
 
 
 def build_report(

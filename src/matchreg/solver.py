@@ -196,7 +196,7 @@ def register(
     """
     if source is None:
         source = encode_source(params, x, opts.normalization)
-    elif source.normalization != opts.normalization or len(source.knn) != len(x):
+    elif source.normalization != opts.normalization or source.descriptors.shape[1] != len(x):
         raise ValueError("the source encoding was made for another source or normalization")
     scores = score_map(source.descriptors, encode_target(params, source, y))
     assignment = sinkhorn_log(

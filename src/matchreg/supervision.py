@@ -150,7 +150,7 @@ def end_to_end_gradient(
     d_scores = d_aug[:m, :n]
     d_fx = fy @ d_scores.T
     d_fy = fx @ d_scores
-    grads, _, _ = extract_features_backward(params, cache, d_fx, d_fy)
+    grads = extract_features_backward(params, cache, d_fx, d_fy)
     stats = [(lc.bn.mean, lc.bn.var) for lc in cache.layers]
     return EndToEndResult(loss=loss.value, param_grads=grads, bn_batch_stats=stats)
 

@@ -40,6 +40,9 @@ from .geometry import (
 )
 
 SHAPE_KINDS = ("box", "cylinder", "sphere", "cone")
+# Sampling squares face areas (scale**4) and the view hull squares distances:
+# 1e50 keeps both far from float64 overflow (the hull fails from 1e76).
+MAX_SCALE = 1e50
 
 
 @dataclass(frozen=True)
@@ -62,12 +65,12 @@ class SynthConfig:
             raise ValueError(f"need m > n > 0, got m={self.m}, n={self.n}")
         # the chained comparisons below reject NaN too
         lo, hi = self.scale_range
-        if not (0 < lo <= hi < np.inf):
-            raise ValueError(f"bad scale_range {self.scale_range}: need finite 0 < min <= max")
+        if not (0 < lo <= hi <= MAX_SCALE):
+            raise ValueError(f"bad scale_range {self.scale_range}: need 0 < min <= max <= {MAX_SCALE}")
         bad = [s for s in self.shapes if s not in SHAPE_KINDS]
         if bad:
             raise ValueError(f"unknown shape kind {bad[0]!r} in shapes")
-        for key in ("noise_sigma", "outlier_bound", "translation_bound"):
+        for key in ("noise_sigma", "outlier_bound", "translation_bound", "seed"):
             if not 0 <= getattr(self, key) < np.inf:
                 raise ValueError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if not 0 < self.hpr_gamma < np.inf:

@@ -56,6 +56,7 @@ from .solver import RegisterOptions, register
 from .supervision import (
     DEFAULT_GT_THRESHOLD,
     EndToEndResult,
+    GtCorrespondence,
     build_gt_matrix,
     end_to_end_gradient,
 )
@@ -97,6 +98,9 @@ class TrainConfig:
             raise ValueError("eval_sinkhorn_iters must be >= 1")
         if not self.gt_thresh > 0:
             raise ValueError(f"gt_thresh must be positive, got {self.gt_thresh}")
+        for key in ("seed", "checkpoint_every"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         eval_options(self)  # lam, tau, alpha and normalization, checked by RegisterOptions
 
 
@@ -242,23 +246,26 @@ class _SampleGradients:
     A drawn sample's ground truth and kNN graphs are built on its first draw
     and kept: a sample's clouds never change, nor their graphs. The graphs
     are those ``features.knn_indices`` gives when ``extract_features`` calls it.
+    The ground truth is kept as its ones' positions and made dense on each draw.
     """
 
     def __init__(self, cfg: TrainConfig, data: list[PairSample]):
         self.cfg = cfg
         self.data = data
-        self.cache: dict[int, tuple] = {}  # sample index -> (ground truth, graphs)
+        self.cache: dict[int, tuple] = {}  # sample index -> (label positions, inliers, graphs)
 
     def __call__(self, params: NetParams, draws: list[int]) -> list[EndToEndResult]:
         cfg, results = self.cfg, []
         for i in draws:
             s = self.data[i]
             if i not in self.cache:
-                self.cache[i] = (
-                    build_gt_matrix(s.source, s.target, s.gt_pose, cfg.gt_thresh),
-                    [features.knn_indices(p, params.knn_k) for p in (s.source, s.target)],
-                )
-            gt, knn = self.cache[i]
+                gt = build_gt_matrix(s.source, s.target, s.gt_pose, cfg.gt_thresh)
+                graphs = [features.knn_indices(p, params.knn_k) for p in (s.source, s.target)]
+                self.cache[i] = (np.nonzero(gt.values), gt.inlier_count, graphs)
+            ones, inlier_count, knn = self.cache[i]
+            values = np.zeros((len(s.source) + 1, len(s.target) + 1))
+            values[ones] = 1.0
+            gt = GtCorrespondence(values, inlier_count)
             results.append(end_to_end_gradient(
                 params, s.source, s.target, gt,
                 lam=cfg.lam, iters=cfg.sinkhorn_iters, alpha=cfg.alpha,

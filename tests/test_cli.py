@@ -101,6 +101,9 @@ def test_gen_zero_count(tmp_path, capsys):
         ("m", [1], "m"),
         ("shapes", 5, "shapes"),
         ("scale_min", None, "scale_min"),
+        ("--scale-max", "1e100", "scale_range"),
+        ("--scale-max", "1e308", "scale_range"),
+        ("--seed", "-1", "seed"),
     ],
 )
 def test_gen_bad_config_exits_2_before_writing(tmp_path, capsys, flag, value, key):
@@ -174,6 +177,8 @@ def test_train_smoke_and_log_header(tmp_path, tiny_dataset):
         ("knn_k", 2.7, "knn_k"),
         ("batch_size", 2.9, "batch_size"),
         ("batch_size", True, "batch_size"),
+        ("--seed", "-1", "seed"),
+        ("--checkpoint-every", "-3", "checkpoint_every"),
     ],
 )
 def test_train_bad_config_exits_2_before_loading_data(tmp_path, capsys, flag, value, key):
@@ -365,6 +370,7 @@ def test_eval_reports_deterministic(tmp_path, tiny_model, tiny_dataset):
         ("manifest.json", ("config",), "missing key 'config'"),
         ("manifest.json", ("samples", 1, "target"), "sample 1: missing key 'target'"),
         ("pair_00000_pose.json", ("rotation",), "missing key 'rotation'"),
+        ("model.json", ("normalization",), "missing key 'normalization'"),
     ],
 )
 def test_eval_malformed_json_exits_1_naming_the_key(
@@ -393,6 +399,10 @@ def test_eval_malformed_json_exits_1_naming_the_key(
         ("manifest.json", ("samples",), 5, "key 'samples' must be a JSON array, got integer"),
         ("manifest.json", ("samples", 0, "source"), 7,
          "sample 0: key 'source' must be a JSON string, got integer"),
+        ("model.json", ("normalization",), 5,
+         "key 'normalization' must be a JSON string, got integer"),
+        # a string, but no normalization mode
+        ("model.json", ("normalization",), "bogus", "unknown normalization 'bogus'"),
     ],
 )
 def test_eval_wrongly_typed_key_exits_1_naming_it(

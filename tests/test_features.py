@@ -140,8 +140,6 @@ def test_knn_tie_across_slot_k_is_queried_again(monkeypatch):
 
 def test_match_normalize_hand_case():
     ox, oy, stats = match_normalize(np.array([[1.0, 3.0]]), np.array([[2.0, 6.0]]))
-    np.testing.assert_allclose(stats.mu[0], [2.0])
-    np.testing.assert_allclose(stats.mu[1], [4.0])
     assert stats.beta == 3.0
     np.testing.assert_allclose(ox, [[-1 / 3, 1 / 3]])
     np.testing.assert_allclose(oy, [[-2 / 3, 2 / 3]])
@@ -283,6 +281,27 @@ def test_forward_deterministic():
     np.testing.assert_array_equal(fy1, fy2)
 
 
+@pytest.mark.parametrize(
+    "call, kw, m, error, message",
+    [
+        (extract_features, {"mode": "bogus"}, 12, ValueError, "unknown mode 'bogus'"),
+        (extract_features, {"normalization": "bogus"}, 12, ValueError, "unknown normalization 'bogus'"),
+        (extract_features, {}, 5, TooFewPoints, "k=5 requires more than k points, got 5"),
+        (encode_source, {"normalization": "bogus"}, 12, ValueError, "unknown normalization 'bogus'"),
+        (encode_source, {}, 5, TooFewPoints, "k=5 requires more than k points, got 5"),
+    ],
+    ids=["extract-mode", "extract-normalization", "extract-size", "encode-normalization",
+         "encode-size"],
+)
+def test_feature_passes_reject_bad_arguments(call, kw, m, error, message):
+    # the layers that use a mode, a normalization or a kNN graph reject a bad one
+    rng = np.random.default_rng(24)
+    x, y = rng.standard_normal((m, 3)), rng.standard_normal((9, 3))
+    args = (x, y) if call is extract_features else (x,)
+    with pytest.raises(error, match=message):
+        call(small_net(k=5), *args, **kw)
+
+
 def test_forward_too_few_points():
     params = small_net(k=5)
     with pytest.raises(TooFewPoints):
@@ -358,7 +377,6 @@ def test_encodings_equal_eval_extract_features_bitwise(net, m, n, normalization)
     fx_ref, fy_ref, cache = extract_features(params, x, y, mode="eval", normalization=normalization)
     assert same_bytes(enc.descriptors, fx_ref)
     assert same_bytes(fy, fy_ref)
-    assert same_bytes(enc.knn, cache.knn[0])
     assert enc.betas == tuple(lc.mn.beta for lc in cache.layers)
     # and both equal the pair run through each layer together
     jx, jy = joint_eval_forward(params, x, y, normalization)
@@ -478,7 +496,7 @@ def test_backward_matches_finite_differences(mode, normalization):
     fx, fy, cache = extract_features(params, x, y, mode=mode, normalization=normalization)
     wx = rng.standard_normal(fx.shape)
     wy = rng.standard_normal(fy.shape)
-    grads, _, _ = extract_features_backward(params, cache, wx, wy)
+    grads = extract_features_backward(params, cache, wx, wy)
 
     h = 1e-5
     for li in range(len(params.layers)):
@@ -511,7 +529,7 @@ def test_backward_fd_all_depths(layer_count):
     fx, fy, cache = extract_features(params, x, y, mode="train")
     wx = rng.standard_normal(fx.shape)
     wy = rng.standard_normal(fy.shape)
-    grads, _, _ = extract_features_backward(params, cache, wx, wy)
+    grads = extract_features_backward(params, cache, wx, wy)
 
     h = 1e-5
     for li in range(layer_count):
@@ -532,14 +550,10 @@ def test_backward_zero_upstream_gives_zero_grads():
     y = rng.standard_normal((8, 3))
     params = small_net(seed=6)
     fx, fy, cache = extract_features(params, x, y, mode="train")
-    grads, dx, dy = extract_features_backward(
-        params, cache, np.zeros_like(fx), np.zeros_like(fy)
-    )
+    grads = extract_features_backward(params, cache, np.zeros_like(fx), np.zeros_like(fy))
     for g in grads:
         for v in g.values():
             np.testing.assert_array_equal(v, 0)
-    np.testing.assert_array_equal(dx, 0)
-    np.testing.assert_array_equal(dy, 0)
 
 
 def test_backward_shape_mismatch():
@@ -563,32 +577,6 @@ def test_scale_path_constant_under_non_max_perturbation():
     bumped.flat[other] += 1e-6
     _, _, stats2 = match_normalize(bumped, ay)
     assert stats.beta == stats2.beta
-
-
-def test_input_gradients_match_fd():
-    rng = np.random.default_rng(23)
-    x = rng.standard_normal((9, 3))
-    y = rng.standard_normal((8, 3))
-    params = small_net(seed=8, widths=(4,), k=2)
-    fx, fy, cache = extract_features(params, x, y, mode="train")
-    wx = rng.standard_normal(fx.shape)
-    wy = rng.standard_normal(fy.shape)
-    _, dx, dy = extract_features_backward(params, cache, wx, wy)
-
-    # kNN graph and pooling argmaxes must not flip under the probe step
-    h = 1e-7
-    fd = np.zeros_like(x)
-    for fi in range(x.size):
-        xp = x.copy()
-        xp.flat[fi] += h
-        xm = x.copy()
-        xm.flat[fi] -= h
-        fd.flat[fi] = (
-            projection_loss(params, xp, y, wx, wy, "train", "match_norm")
-            - projection_loss(params, xm, y, wx, wy, "train", "match_norm")
-        ) / (2 * h)
-    rel = np.abs(dx - fd).max() / max(np.abs(fd).max(), 1e-8)
-    assert rel < 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from matchreg.geometry import sample_mesh_surface
 from matchreg.metrics import model_diameter, rotation_error_deg
 from matchreg.supervision import build_gt_matrix
 from matchreg.synth import (
+    MAX_SCALE,
     SHAPE_KINDS,
     SynthConfig,
     generate_dataset,
@@ -242,7 +243,11 @@ def test_config_validation():
         ("viewpoint_distance_factor", 0.0), ("viewpoint_distance_factor", -1.0),
         ("viewpoint_distance_factor", 1.0), ("viewpoint_distance_factor", inf),
         ("viewpoint_distance_factor", nan),
+        ("scale_range", (1e100, 1e100)), ("scale_range", (0.5, 1e308)), ("seed", -1),
     ]
     for key, value in bad_values:
         with pytest.raises(ValueError, match=key):
             SynthConfig(**{key: value})
+    # the largest scale accepted samples without an overflow warning
+    cfg = SynthConfig(m=64, n=32, scale_range=(MAX_SCALE, MAX_SCALE))
+    assert np.all(np.isfinite(generate_pair(cfg, np.random.default_rng(0)).target))

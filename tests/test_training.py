@@ -3,7 +3,7 @@
 import hashlib
 import multiprocessing
 import os
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -365,11 +365,36 @@ def test_train_builds_the_graphs_of_each_drawn_sample_once(monkeypatch, tmp_path
         assert os.getpid() not in pids
 
 
+def arrays_in(obj):
+    """Every numpy array inside ``obj``, through tuples, lists and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from arrays_in(item)
+    elif is_dataclass(obj):
+        yield from arrays_in(list(vars(obj).values()))
+
+
+def test_sample_cache_keeps_no_dense_labels():
+    # a cached sample costs O(M + N), not its (M+1) x (N+1) ground-truth matrix
+    data = generate_dataset(EASY_SYNTH, 2)
+    samples = training._SampleGradients(quick_cfg(), data)
+    first, _, again = samples(small_params(), [0, 1, 0])
+    dense = (EASY_SYNTH.m + 1) * (EASY_SYNTH.n + 1)
+    assert sorted(samples.cache) == [0, 1]
+    assert all(a.size < dense for a in arrays_in(list(samples.cache.values())))
+    assert again.loss == first.loss
+    for g, h in zip(again.param_grads, first.param_grads):
+        assert all(g[k].tobytes() == h[k].tobytes() for k in g)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("iterations", 0), ("lam", 0.0), ("lam", float("nan")), ("sinkhorn_iters", 0),
      ("eval_sinkhorn_iters", 0), ("tau", 0.0), ("tau", 1.0), ("alpha", float("nan")),
-     ("alpha", float("inf")), ("normalization", "bogus")],
+     ("alpha", float("inf")), ("normalization", "bogus"), ("seed", -1),
+     ("checkpoint_every", -3)],
 )
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
